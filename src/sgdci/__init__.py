@@ -50,7 +50,6 @@ from .errors import (
     ExhaustedData,
     FeedCountMismatch,
     InvalidBatchCount,
-    InvalidDimension,
     KeyMismatch,
     LabelDomainError,
     NonFiniteIterate,
@@ -88,7 +87,7 @@ from .models import (
     logistic_gradient,
     logistic_oracle,
 )
-from .sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd, step_size
+from .sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd
 from .streams import RandomStream, derive_stream
 
 __version__ = "0.1.0"
@@ -112,7 +111,6 @@ __all__ = [
     "FeedCountMismatch",
     "GradientOracle",
     "InvalidBatchCount",
-    "InvalidDimension",
     "KeyMismatch",
     "LabelDomainError",
     "LimitDrawSpec",
@@ -165,7 +163,6 @@ __all__ = [
     "sectioning_infer",
     "simulate_limit_draw",
     "spec_from_plan",
-    "step_size",
     "summary_from_path",
     "unit_ball_volume",
     "weights_key",

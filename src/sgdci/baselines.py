@@ -23,16 +23,20 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .batching import Allocation, accumulate, make_plan
+from .batching import (
+    Allocation,
+    BatchMeansSummary,
+    BatchPlan,
+    accumulate,
+    make_plan,
+    sample_cov,
+    sample_sigma,
+)
 from .calibration import ScalingQuantile, f_quantile, weights_key
-from .errors import DegenerateCovariance, NotPositiveDefinite
-from .inference import ConfidenceRegion, MarginalIntervals
-from .linalg import SymMatrix, cholesky
+from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
+from .linalg import SymMatrix
 from .sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd
 from .streams import RandomStream, derive_stream
-
-DEFAULT_SECTIONS = 30
-
 
 @dataclass
 class SectioningResult:
@@ -46,29 +50,25 @@ class SectioningResult:
     delta: float
 
 
-class _MeanObserver:
-    def __init__(self, d: int):
-        self.sum = np.zeros(d)
-        self.count = 0
-
-    def __call__(self, x):
-        self.sum += x
-        self.count += 1
-
-    @property
-    def mean(self):
-        return self.sum / self.count
+def _section_plan(m: int, section_T: int) -> BatchPlan:
+    """m equal sections as one even-split plan; its weights are exactly 1/m."""
+    return make_plan(m * section_T, m, Allocation(kind="es"))
 
 
-def _exact_quantile(alpha: float, d: int, m: int, w, delta: float) -> ScalingQuantile:
-    """Wrap an exact (non Monte Carlo) quantile; reps = 0 marks exactness."""
+def _exact_quantile(d: int, plan: BatchPlan, delta: float) -> ScalingQuantile:
+    """The exact F(d, m-d) quantile for the plan's m equally weighted sections.
+
+    reps = 0 in the key marks a quantile that is exact, not Monte Carlo.
+    """
+    m = plan.m
+    alpha = f_quantile(d, m - d, 1.0 - delta)
     return ScalingQuantile(
         alpha_hat=alpha,
         ci_low=alpha,
         ci_high=alpha,
         delta=delta,
         reps=0,
-        key=(d, m, weights_key(w), float(delta), 0, -1),
+        key=(d, m, weights_key(plan.weights), float(delta), 0, -1),
     )
 
 
@@ -96,50 +96,24 @@ def sectioning_infer(
     if section_T < 1:
         raise ValueError(f"total_T={total_T} leaves empty sections at m={m}")
     d = oracle_factory(0).dim
-    means = np.empty((m, d))
+    plan = _section_plan(m, section_T)
+    acc = accumulate(plan, d)  # section j fills batch j
+    cfg = SgdRunConfig(T=section_T, burn_in=burn_in, x0=x0, schedule=schedule)
     for j in range(m):
-        oracle = oracle_factory(j)
-        obs = _MeanObserver(d)
-        cfg = SgdRunConfig(T=section_T, burn_in=burn_in, x0=x0, schedule=schedule)
-        run_sgd(oracle, cfg, derive_stream(base_seed, *lineage_prefix, j), obs)
-        means[j] = obs.mean
-    pooled = means.mean(axis=0)
-    dev = means - pooled[None, :]
-    S = SymMatrix(dev.T @ dev / (m - 1))
-    w_even = np.full(m, 1.0 / m)
-
+        stream = derive_stream(base_seed, *lineage_prefix, j)
+        run_sgd(oracle_factory(j), cfg, stream, acc.feed)
+    means = acc.finalize().xi
+    summary = BatchMeansSummary(plan=plan, xi=means, xbar=means.mean(axis=0), d=d)
     region = None
     if m > d:
-        try:
-            cholesky(S)
-        except NotPositiveDefinite as e:
-            raise DegenerateCovariance(str(e)) from e
-        alpha_joint = f_quantile(d, m - d, 1.0 - delta)
-        region = ConfidenceRegion(
-            center=pooled.copy(),
-            shape=S,
-            scale=d * (m - 1) / (m * (m - d)) * alpha_joint,
-            m=m,
-            T=total_T,
-            delta=delta,
-            alpha=_exact_quantile(alpha_joint, d, m, w_even, delta),
-        )
-    alpha_1 = f_quantile(1, m - 1, 1.0 - delta)
-    sigma = np.sqrt((dev * dev).sum(axis=0) / (m - 1))
-    half = np.sqrt(alpha_1 / m) * sigma
-    intervals = MarginalIntervals(
-        lo=pooled - half,
-        hi=pooled + half,
-        sigma=sigma,
-        center=pooled.copy(),
-        alpha_1d=_exact_quantile(alpha_1, 1, m, w_even, delta),
-    )
+        region = build_region(summary, _exact_quantile(d, plan, delta))
+        region.T = total_T  # the budget asked for, m * section_T plus the remainder
     return SectioningResult(
         section_means=means,
-        pooled_mean=pooled,
-        cov=S,
+        pooled_mean=summary.xbar,
+        cov=sample_cov(summary),
         region=region,
-        intervals=intervals,
+        intervals=marginal_intervals(summary, _exact_quantile(1, plan, delta)),
         m=m,
         section_T=section_T,
         delta=delta,
@@ -204,6 +178,4 @@ def bmi_infer(
     cfg = SgdRunConfig(T=T, burn_in=burn_in, x0=x0, schedule=schedule or StepSchedule())
     run_sgd(oracle, cfg, stream, acc.feed)
     summary = acc.finalize()
-    dev = summary.xi - summary.xbar[None, :]
-    sigma = np.sqrt((dev * dev).sum(axis=0) / (m_n - 1))
-    return bmi_from_stats(summary.xbar, sigma, m_n, delta)
+    return bmi_from_stats(summary.xbar, sample_sigma(summary), m_n, delta)

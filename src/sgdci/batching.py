@@ -201,6 +201,17 @@ def sample_cov(summary: BatchMeansSummary) -> SymMatrix:
     return SymMatrix(dev.T @ dev / (m - 1))
 
 
+def sample_sigma(summary: BatchMeansSummary) -> np.ndarray:
+    """Per-coordinate batch-means standard deviations, sqrt(diag S_m(T))."""
+    dev = summary.xi - summary.xbar[None, :]
+    return np.sqrt((dev * dev).sum(axis=0) / (summary.plan.m - 1))
+
+
+def _joint_constant(d: int, m: int) -> float:
+    """d(m-1)/(m(m-d)), the factor between alpha and the joint region's scale."""
+    return d * (m - 1) / (m * (m - d))
+
+
 def gamma_statistic(summary: BatchMeansSummary, x_ref) -> float:
     """m(m-d)/(d(m-1)) * (X_bar - x_ref)^T S_m^{-1} (X_bar - x_ref)."""
     x_ref = np.asarray(x_ref, dtype=float)
@@ -217,4 +228,4 @@ def gamma_statistic(summary: BatchMeansSummary, x_ref) -> float:
         quad = quad_form_inv(S, summary.xbar - x_ref)
     except NotPositiveDefinite as e:
         raise DegenerateCovariance(str(e)) from e
-    return m * (m - d) / (d * (m - 1)) * quad
+    return quad / _joint_constant(d, m)

@@ -151,17 +151,24 @@ def _chunk_size(spec: LimitDrawSpec) -> int:
     return max(128, min(65536, (1 << 24) // max(1, spec.m * spec.d)))
 
 
+def _skeleton_grams(spec: LimitDrawSpec, normals: np.ndarray) -> np.ndarray:
+    """g_of_skeleton for n skeletons at once, from standard normals (n, m, d).
+
+    Batch i's increments are normals[:, i] * sqrt(w_i); returns (n, d, d).
+    """
+    w = np.asarray(spec.w)
+    D = normals * np.sqrt(w)[None, :, None]
+    dev = D / w[None, :, None] - D.sum(axis=1)[:, None, :]
+    return np.einsum("nmi,nmj->nij", dev, dev) / (spec.m - 1)
+
+
 def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
     """n statistics from stream (base_seed, chunk_index), batched."""
     m, d = spec.m, spec.d
     stream = derive_stream(base_seed, chunk_index)
     raw = stream.gen.standard_normal((n, m * d + d))
-    sqw = np.sqrt(np.asarray(spec.w))
-    D = raw[:, : m * d].reshape(n, m, d) * sqw[None, :, None]
+    G = _skeleton_grams(spec, raw[:, : m * d].reshape(n, m, d))
     Z = raw[:, m * d :]
-    slopes = D / np.asarray(spec.w)[None, :, None]
-    dev = slopes - D.sum(axis=1)[:, None, :]
-    G = np.einsum("nmi,nmj->nij", dev, dev) / (m - 1)
     try:
         sol = np.linalg.solve(G, Z[..., None])[..., 0]
         stats = spec.factor * np.einsum("nd,nd->n", Z, sol)

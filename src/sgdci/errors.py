@@ -9,10 +9,6 @@ class DimensionMismatch(SgdciError):
     """Vector or matrix arguments disagree in dimension."""
 
 
-class InvalidDimension(SgdciError):
-    """A dimension argument is out of range (d < 1)."""
-
-
 class NotPositiveDefinite(SgdciError):
     """Cholesky factorization hit a nonpositive pivot."""
 
@@ -47,11 +43,18 @@ class OracleDimensionMismatch(SgdciError):
 
 
 class NonFiniteIterate(SgdciError):
-    """An SGD iterate left the finite range; carries the step index."""
+    """An SGD iterate left the finite range; carries the step index.
 
-    def __init__(self, t: int, message: str | None = None):
+    replication names the diverged chain of a replicated run (the lowest
+    index if several left the range at step t) and is None for a single run.
+    """
+
+    def __init__(self, t: int, message: str | None = None, *,
+                 replication: int | None = None):
         self.t = t
-        super().__init__(message or f"iterate became non-finite at step t={t}")
+        self.replication = replication
+        where = "" if replication is None else f" in replication {replication}"
+        super().__init__(message or f"iterate became non-finite at step t={t}{where}")
 
 
 class KeyMismatch(SgdciError):

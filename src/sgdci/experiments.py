@@ -21,20 +21,27 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import expit, ndtr
 
-from .baselines import bmi_batch_count
-from .batching import Allocation, BatchPlan, ideal_weights, make_plan
+from .baselines import _exact_quantile, _section_plan, bmi_batch_count, bmi_from_stats
+from .batching import (
+    Allocation,
+    BatchMeansSummary,
+    BatchPlan,
+    ideal_weights,
+    make_plan,
+    sample_cov,
+    sample_sigma,
+)
 from .calibration import (
     LimitDrawSpec,
     QuantileCache,
     ScalingQuantile,
     estimate_alpha,
-    f_quantile,
     spec_from_plan,
 )
-from .errors import ExcessDegeneracy, NotPositiveDefinite, SgdciError
-from .inference import VolumeFactor, expected_volume_factor
+from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, SgdciError
+from .inference import VolumeFactor, build_region, expected_volume_factor, marginal_intervals
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import linspace_params
 from .sgd import StepSchedule
@@ -61,7 +68,9 @@ def _run_chains(model: str, x_star, schedule: StepSchedule, burn_in: int,
     boundaries is any integer array 0 = tau_0 < ... < tau_m = T; returns
     (xi, xbar) with xi of shape (m, R, d) and xbar of shape (R, d). Chain j
     draws (d + 1) standard normals per step from gens[j], block-buffered, in
-    exactly the order the serial driver would.
+    exactly the order the serial driver would. A chain that leaves the
+    finite range raises NonFiniteIterate with the step index the serial
+    driver would report and the chain's index as the replication.
     """
     R = len(gens)
     x_star = np.asarray(x_star, dtype=float)
@@ -76,31 +85,56 @@ def _run_chains(model: str, x_star, schedule: StepSchedule, burn_in: int,
     chunk = max(64, min(4096, (1 << 21) // max(1, R * (d + 1))))
     noise = np.empty((chunk, R, d + 1))
     a_sched, r_sched = schedule.a, schedule.r
+
+    def advance(x, step_noise, tt):
+        gam = a_sched * tt ** (-r_sched)
+        av = step_noise[:, :d]
+        xa = np.einsum("rd,rd->r", av, x)
+        if model == "linear":
+            b = av @ x_star + step_noise[:, d]
+            coef = -2.0 * (b - xa)
+        else:
+            u = ndtr(step_noise[:, d])
+            lbl = np.where(u < expit(av @ x_star), 1.0, -1.0)
+            coef = -lbl * expit(-lbl * xa)
+        return x - gam * (coef[:, None] * av)
+
     t = 0
     while t < total:
         c = min(chunk, total - t)
         for j, g in enumerate(gens):
             noise[:c, j, :] = g.standard_normal((c, d + 1))
+        x_start = x
         for s in range(c):
             tt = t + s + 1
-            gam = a_sched * tt ** (-r_sched)
-            av = noise[s, :, :d]
-            xa = np.einsum("rd,rd->r", av, x)
-            if model == "linear":
-                b = av @ x_star + noise[s, :, d]
-                coef = -2.0 * (b - xa)
-            else:
-                u = ndtr(noise[s, :, d])
-                lbl = np.where(u < expit(av @ x_star), 1.0, -1.0)
-                coef = -lbl * expit(-lbl * xa)
-            x = x - gam * (coef[:, None] * av)
+            x = advance(x, noise[s], tt)
             k = tt - burn_in - 1
             if k >= 0:
                 sums[step_batch[k]] += x
+        if not np.isfinite(x).all():
+            # A non-finite coordinate never turns finite again, so one check
+            # per block sees every divergence; replay the block to find it.
+            x = x_start
+            for s in range(c):
+                x = advance(x, noise[s], t + s + 1)
+                bad = ~np.isfinite(x).all(axis=1)
+                if bad.any():
+                    raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
         t += c
     xi = sums / sizes[:, None, None]
     xbar = sums.sum(axis=0) / float(T)
     return xi, xbar
+
+
+def _replicate(model: str, x_star, schedule: StepSchedule, burn_in: int,
+               plan: BatchPlan, R: int, base_seed: int) -> list:
+    """One BatchMeansSummary per chain; chain r runs on stream (base_seed, r)."""
+    gens = [derive_stream(base_seed, rep).gen for rep in range(R)]
+    xi, xbar = _run_chains(model, x_star, schedule, burn_in, plan.T, plan.boundaries, gens)
+    return [
+        BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
+        for r in range(R)
+    ]
 
 
 @dataclass(frozen=True)
@@ -156,11 +190,6 @@ class CoverageReport:
         )
 
 
-def _marginal_fraction(xbar_r, x_star, half) -> float:
-    covered = np.abs(xbar_r - x_star) <= half
-    return float(np.mean(covered))
-
-
 def run_coverage(
     config: CoverageConfig,
     cache: Optional[QuantileCache] = None,
@@ -168,10 +197,13 @@ def run_coverage(
 ) -> CoverageReport:
     """Estimate the coverage rate of one method under one configuration.
 
+    Each replication's region or intervals come from the single-run calls
+    (build_region, marginal_intervals, bmi_from_stats) on its batch means.
     Degenerate replications (numerically rank-deficient covariance) are a
     third outcome, counted separately from hits and misses; the run aborts
     if they exceed one percent of replications. Marginal methods record the
-    average coverage across the d coordinates of each replication.
+    average coverage across the d coordinates of each replication. A
+    diverging chain raises NonFiniteIterate.
     """
     t0 = time.perf_counter()
     cfg = config
@@ -180,7 +212,6 @@ def run_coverage(
     d = cfg.d
     mth = cfg.method
 
-    alpha_used = None
     if mth.startswith("sectioning"):
         sections = cfg.m
         sec_T = cfg.T // sections
@@ -191,38 +222,17 @@ def run_coverage(
             for rep in range(R)
             for j in range(sections)
         ]
-        bounds = np.array([0, sec_T])
-        _, chain_means = _run_chains(
-            cfg.model, x_star, cfg.schedule, cfg.burn_in, sec_T, bounds, gens
-        )
-        means = chain_means.reshape(R, sections, d)
-        if mth == "sectioning_joint":
-            alpha_used = f_quantile(d, sections - d, 1.0 - cfg.delta)
-            scale = d * (sections - 1) / (sections * (sections - d)) * alpha_used
-        else:
-            alpha_used = f_quantile(1, sections - 1, 1.0 - cfg.delta)
-        hits, degenerate, log = 0.0, 0, []
-        for rep in range(R):
-            mu = means[rep]
-            pooled = mu.mean(axis=0)
-            dev = mu - pooled[None, :]
-            if mth == "sectioning_joint":
-                S = SymMatrix(dev.T @ dev / (sections - 1))
-                try:
-                    quad = quad_form_inv(S, pooled - x_star)
-                except NotPositiveDefinite:
-                    degenerate += 1
-                    log.append({"rep": rep, "covered": None, "stat": None})
-                    continue
-                cov = bool(quad <= scale)
-                hits += cov
-                log.append({"rep": rep, "covered": cov, "stat": quad})
-            else:
-                sigma = np.sqrt((dev * dev).sum(axis=0) / (sections - 1))
-                half = np.sqrt(alpha_used / sections) * sigma
-                frac = _marginal_fraction(pooled, x_star, half)
-                hits += frac
-                log.append({"rep": rep, "covered": frac, "stat": float(half.mean())})
+        try:
+            _, chain_means = _run_chains(
+                cfg.model, x_star, cfg.schedule, cfg.burn_in, sec_T, [0, sec_T], gens
+            )
+        except NonFiniteIterate as e:
+            raise NonFiniteIterate(e.t, replication=e.replication // sections) from None
+        plan = _section_plan(sections, sec_T)
+        summaries = [
+            BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
+            for mu in chain_means.reshape(R, sections, d)
+        ]
     else:
         if mth.startswith("bmi"):
             m_n = bmi_batch_count(cfg.T)
@@ -230,81 +240,62 @@ def run_coverage(
             plan = make_plan(cfg.T, m_n, Allocation(kind="ibs", r=alloc_r))
         else:
             plan = make_plan(cfg.T, cfg.m, cfg.alloc)
-        m = plan.m
-        gens = [derive_stream(cfg.base_seed, rep).gen for rep in range(R)]
-        xi, xbar = _run_chains(
-            cfg.model, x_star, cfg.schedule, cfg.burn_in, cfg.T, plan.boundaries, gens
+        summaries = _replicate(
+            cfg.model, x_star, cfg.schedule, cfg.burn_in, plan, R, cfg.base_seed
         )
-        if mth == "bm_joint":
-            sq = estimate_alpha(
-                spec_from_plan(plan, d), cfg.delta, cfg.cal_reps, cfg.cal_seed,
-                cache=cache, threads=threads,
-            )
-            alpha_used = sq.alpha_hat
-            scale = d * (m - 1) / (m * (m - d)) * alpha_used
-        elif mth == "bm_marginal":
-            sq = estimate_alpha(
-                LimitDrawSpec(1, m, tuple(plan.weights)), cfg.delta, cfg.cal_reps,
-                cfg.cal_seed, cache=cache, threads=threads,
-            )
-            alpha_used = sq.alpha_hat
+
+    joint = mth.endswith("joint")
+    alpha = None
+    if mth.startswith("bm_"):
+        spec = spec_from_plan(plan, d if joint else 1)
+        alpha = estimate_alpha(
+            spec, cfg.delta, cfg.cal_reps, cfg.cal_seed, cache=cache, threads=threads
+        )
+    elif mth.startswith("sectioning"):
+        alpha = _exact_quantile(d if joint else 1, plan, cfg.delta)
+
+    def verdict(s: BatchMeansSummary):
+        # (covered, stat): stat is the quadratic form for a region and the
+        # mean half-width for per-coordinate bands
+        if alpha is None:
+            b = bmi_from_stats(s.xbar, sample_sigma(s), plan.m, cfg.delta)
+            lo, hi = (b.joint_lo, b.joint_hi) if joint else (b.marginal_lo, b.marginal_hi)
+        elif joint:
+            region = build_region(s, alpha)
+            quad = quad_form_inv(region.shape, region.center - x_star)
+            return bool(quad <= region.scale), quad
         else:
-            z = ndtri(1.0 - cfg.delta / 2.0)
-            z_joint = ndtri(1.0 - cfg.delta / (2.0 * d))
-        hits, degenerate, log = 0.0, 0, []
-        for rep in range(R):
-            dev = xi[:, rep, :] - xbar[rep][None, :]
-            if mth == "bm_joint":
-                S = SymMatrix(dev.T @ dev / (m - 1))
-                try:
-                    quad = quad_form_inv(S, xbar[rep] - x_star)
-                except NotPositiveDefinite:
-                    degenerate += 1
-                    log.append({"rep": rep, "covered": None, "stat": None})
-                    continue
-                cov = bool(quad <= scale)
-                hits += cov
-                log.append({"rep": rep, "covered": cov, "stat": quad})
-            else:
-                sigma = np.sqrt((dev * dev).sum(axis=0) / (m - 1))
-                if mth == "bm_marginal":
-                    half = np.sqrt(alpha_used / m) * sigma
-                    frac = _marginal_fraction(xbar[rep], x_star, half)
-                    hits += frac
-                    log.append(
-                        {"rep": rep, "covered": frac, "stat": float(half.mean())}
-                    )
-                elif mth == "bmi_marginal":
-                    half = z * sigma / math.sqrt(m)
-                    frac = _marginal_fraction(xbar[rep], x_star, half)
-                    hits += frac
-                    log.append(
-                        {"rep": rep, "covered": frac, "stat": float(half.mean())}
-                    )
-                else:  # bmi_joint
-                    half = z_joint * sigma / math.sqrt(m)
-                    cov = bool(np.all(np.abs(xbar[rep] - x_star) <= half))
-                    hits += cov
-                    log.append({"rep": rep, "covered": cov, "stat": float(half.mean())})
+            iv = marginal_intervals(s, alpha)
+            lo, hi = iv.lo, iv.hi
+        inside = (lo <= x_star) & (x_star <= hi)
+        covered = bool(inside.all()) if joint else float(inside.mean())
+        return covered, float(np.mean(hi - lo) / 2.0)
+
+    hits, degenerate, log = 0.0, 0, []
+    for rep, s in enumerate(summaries):
+        try:
+            covered, stat = verdict(s)
+        except DegenerateCovariance:
+            degenerate += 1
+            covered = stat = None
+        else:
+            hits += covered
+        log.append({"rep": rep, "covered": covered, "stat": stat})
 
     if degenerate > 0.01 * R:
         raise ExcessDegeneracy(
             f"{degenerate} of {R} replications degenerate (limit is 1%)"
         )
-    effective = R - degenerate
-    coverage = hits / effective if effective > 0 else float("nan")
-    half_width = (
-        1.96 * math.sqrt(coverage * (1.0 - coverage) / effective)
-        if effective > 0
-        else float("nan")
-    )
+    effective = R - degenerate  # >= 0.99 R after the check above
+    coverage = hits / effective
+    half_width = 1.96 * math.sqrt(coverage * (1.0 - coverage) / effective)
     return CoverageReport(
         config=cfg,
         hits=hits,
         degenerate=degenerate,
         coverage=coverage,
         half_width=half_width,
-        alpha_used=alpha_used,
+        alpha_used=None if alpha is None else alpha.alpha_hat,
         replication_log=log,
         wall_time=time.perf_counter() - t0,
     )
@@ -377,14 +368,10 @@ def run_det_study(
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
     sched = schedule or StepSchedule()
     x_star = linspace_params(d).x_star
-    gens = [derive_stream(base_seed, rep).gen for rep in range(R)]
-    xi, xbar = _run_chains(model, x_star, sched, burn_in, T, plan.boundaries, gens)
-    dets = np.empty(R)
-    for rep in range(R):
-        dev = xi[:, rep, :] - xbar[rep][None, :]
-        S_scaled = SymMatrix(float(T) * (dev.T @ dev / (m - 1)))
-        dets[rep] = det_sqrt(S_scaled) ** 2
-    return dets
+    summaries = _replicate(model, x_star, sched, burn_in, plan, R, base_seed)
+    return np.array(
+        [det_sqrt(SymMatrix(float(T) * sample_cov(s).entries)) ** 2 for s in summaries]
+    )
 
 
 @dataclass

@@ -21,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import BatchMeansSummary, sample_cov
-from .calibration import LimitDrawSpec, ScalingQuantile, weights_key
+from .batching import BatchMeansSummary, _joint_constant, sample_cov, sample_sigma
+from .calibration import (
+    LimitDrawSpec,
+    ScalingQuantile,
+    _chunk_size,
+    _skeleton_grams,
+    weights_key,
+)
 from .errors import (
     BatchCountTooSmall,
     DegenerateCovariance,
@@ -64,7 +70,7 @@ def _check_key(alpha: ScalingQuantile, d: int, m: int, w) -> None:
     if (kd, km, kw) != (d, m, weights_key(w)):
         raise KeyMismatch(
             f"quantile calibrated for (d={kd}, m={km}, w={kw}); "
-            f"summary has (d={d}, m={m}, w={weights_key(w)})"
+            f"needed (d={d}, m={m}, w={weights_key(w)})"
         )
 
 
@@ -79,11 +85,10 @@ def build_region(summary: BatchMeansSummary, alpha: ScalingQuantile) -> Confiden
         cholesky(S)
     except NotPositiveDefinite as e:
         raise DegenerateCovariance(str(e)) from e
-    scale = d * (m - 1) / (m * (m - d)) * alpha.alpha_hat
     return ConfidenceRegion(
         center=summary.xbar.copy(),
         shape=S,
-        scale=scale,
+        scale=_joint_constant(d, m) * alpha.alpha_hat,
         m=m,
         T=summary.plan.T,
         delta=alpha.delta,
@@ -114,16 +119,8 @@ def marginal_intervals(
     m = summary.plan.m
     if m < 2:
         raise BatchCountTooSmall(f"marginal intervals need m >= 2, got {m}")
-    if alpha_1d.key[0] != 1:
-        raise KeyMismatch(
-            f"marginal intervals need a d=1 quantile, got d={alpha_1d.key[0]}"
-        )
-    if (alpha_1d.key[1], alpha_1d.key[2]) != (m, weights_key(summary.plan.weights)):
-        raise KeyMismatch(
-            "quantile calibrated for different batch count or weights than the summary"
-        )
-    dev = summary.xi - summary.xbar[None, :]
-    sigma = np.sqrt((dev * dev).sum(axis=0) / (m - 1))
+    _check_key(alpha_1d, 1, m, summary.plan.weights)
+    sigma = sample_sigma(summary)
     half = np.sqrt(alpha_1d.alpha_hat / m) * sigma
     return MarginalIntervals(
         lo=summary.xbar - half,
@@ -166,22 +163,18 @@ def expected_volume_factor(
     _check_key(alpha, d, m, spec.w)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    sqw = np.sqrt(np.asarray(spec.w))
-    chunk = max(128, min(65536, (1 << 24) // max(1, m * d)))
+    chunk = _chunk_size(spec)
     dets = np.empty(reps)
     done = 0
     while done < reps:
         n = min(chunk, reps - done)
-        D = stream.gen.standard_normal((n, m, d)) * sqw[None, :, None]
-        slopes = D / np.asarray(spec.w)[None, :, None]
-        dev = slopes - D.sum(axis=1)[:, None, :]
-        G = np.einsum("nmi,nmj->nij", dev, dev) / (m - 1)
+        G = _skeleton_grams(spec, stream.gen.standard_normal((n, m, d)))
         sign, logdet = np.linalg.slogdet(G)
         dets[done : done + n] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
         done += n
     e_det = float(dets.mean())
     se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    cfac = (d * (m - 1) / (m * (m - d))) ** (d / 2.0)
+    cfac = _joint_constant(d, m) ** (d / 2.0)
     v = cfac * e_det * alpha.alpha_hat ** (d / 2.0)
     se_alpha = (alpha.ci_high - alpha.ci_low) / (2 * 1.96)
     rel = 0.0

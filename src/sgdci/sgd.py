@@ -35,10 +35,6 @@ class StepSchedule:
             raise ValueError(f"step exponent r must lie in (0.5, 1), got {self.r}")
 
 
-def step_size(schedule: StepSchedule, t: int) -> float:
-    return schedule.a * t ** (-schedule.r)
-
-
 @dataclass
 class GradientOracle:
     """Source of unbiased stochastic gradients.

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDimension
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -51,10 +49,3 @@ def derive_stream(base_seed: int, *indices: int) -> RandomStream:
     entropy = (path[0], len(indices)) + path[1:]
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     return RandomStream(gen, path)
-
-
-def sample_std_normal_vec(stream: RandomStream, d: int) -> np.ndarray:
-    """d independent N(0,1) coordinates; advances the stream."""
-    if d < 1:
-        raise InvalidDimension(f"d must be >= 1, got {d}")
-    return stream.gen.standard_normal(d)

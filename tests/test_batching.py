@@ -15,6 +15,7 @@ from sgdci.batching import (
     ideal_weights,
     make_plan,
     sample_cov,
+    sample_sigma,
     summary_from_path,
 )
 from sgdci.errors import (
@@ -245,6 +246,13 @@ class TestSampleCov:
         S0 = sample_cov(summary_from_path(plan, path))
         S1 = sample_cov(summary_from_path(plan, [G @ x for x in path]))
         assert np.allclose(S1.entries, G @ S0.entries @ G.T, atol=1e-10)
+
+    def test_sigma_is_root_of_the_diagonal(self):
+        gen = derive_stream(35).gen
+        plan = make_plan(60, 6, Allocation(kind="ibs"))
+        s = summary_from_path(plan, [gen.standard_normal(3) for _ in range(60)])
+        diag = np.diag(sample_cov(s).entries)
+        assert np.allclose(sample_sigma(s) ** 2, diag, rtol=1e-14, atol=0)
 
 
 class TestGammaStatistic:

@@ -5,8 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+from sgdci.baselines import bmi_infer, sectioning_infer
 from sgdci.batching import Allocation, make_plan, accumulate
+from sgdci.calibration import estimate_alpha, spec_from_plan
+from sgdci.errors import NonFiniteIterate
 from sgdci.experiments import (
+    DEFAULT_CAL_SEED,
     METHODS,
     CoverageConfig,
     FailedCell,
@@ -19,6 +23,8 @@ from sgdci.experiments import (
     write_det_csv,
     write_volume_csv,
 )
+from sgdci.inference import build_region, contains, marginal_intervals
+from sgdci.linalg import quad_form_inv
 from sgdci.models import linear_oracle, linspace_params, logistic_oracle
 from sgdci.sgd import SgdRunConfig, StepSchedule, run_sgd
 from sgdci.streams import derive_stream
@@ -119,6 +125,141 @@ class TestRunCoverage:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             self._cfg(model="quadratic")
+
+
+def _band(lo, hi, x, joint):
+    inside = (lo <= x) & (x <= hi)
+    covered = bool(inside.all()) if joint else float(inside.mean())
+    return covered, float(np.mean(hi - lo) / 2)
+
+
+class TestSingleRunAgreement:
+    """Replication 0 of run_coverage against the single-run API on its streams."""
+
+    T, delta, seed, cal_reps = 3000, 0.05, 5, 10000
+    ibs = Allocation(kind="ibs", r=2.0 / 3.0)
+
+    def _single_run(self, model, d, m, method):
+        params = linspace_params(d)
+        factory = linear_oracle if model == "linear" else logistic_oracle
+        x_star = params.x_star
+        joint = method.endswith("joint")
+        if method.startswith("bm_"):
+            plan = make_plan(self.T, m, self.ibs)
+            acc = accumulate(plan, d)
+            run_sgd(factory(params), SgdRunConfig(T=self.T), derive_stream(self.seed, 0),
+                    acc.feed)
+            summary = acc.finalize()
+            alpha = estimate_alpha(spec_from_plan(plan, d if joint else 1), self.delta,
+                                   self.cal_reps, DEFAULT_CAL_SEED)
+            if joint:
+                region = build_region(summary, alpha)
+                quad = quad_form_inv(region.shape, region.center - x_star)
+                return contains(region, x_star), quad
+            iv = marginal_intervals(summary, alpha)
+            return _band(iv.lo, iv.hi, x_star, joint)
+        if method.startswith("sectioning"):
+            res = sectioning_infer(lambda j: factory(params), m, self.T, StepSchedule(),
+                                   self.delta, self.seed, lineage_prefix=(0,))
+            if joint:
+                quad = quad_form_inv(res.region.shape, res.region.center - x_star)
+                return contains(res.region, x_star), quad
+            return _band(res.intervals.lo, res.intervals.hi, x_star, joint)
+        stream = derive_stream(self.seed, 0)
+        res = bmi_infer(factory(params), self.T, self.delta, stream=stream)
+        if joint:
+            return _band(res.joint_lo, res.joint_hi, x_star, joint)
+        return _band(res.marginal_lo, res.marginal_hi, x_star, joint)
+
+    @pytest.mark.parametrize("model, d, m", [("linear", 2, 12), ("logistic", 3, 15)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_replication_zero_matches_single_run(self, model, d, m, method):
+        cfg = CoverageConfig(model=model, d=d, T=self.T, method=method, m=m, alloc=self.ibs,
+                             delta=self.delta, replications=2, base_seed=self.seed,
+                             cal_reps=self.cal_reps)
+        entry = run_coverage(cfg).replication_log[0]
+        covered, stat = self._single_run(model, d, m, method)
+        assert entry["covered"] == covered
+        assert entry["stat"] == pytest.approx(stat, rel=1e-9, abs=0)
+
+
+# hits per method in METHODS order, then alpha_used per method, measured on
+# the harness that predates the shared single-run code
+PINNED_CELLS = [
+    ("linear", 2, 12,
+     [40.0, 39.0, 38.0, 38.5, 40.0, 39.5],
+     [1.0667790325514046, 0.7809633394059616, 4.10282101854682, 4.844335671514273,
+      None, None]),
+    ("logistic", 3, 15,
+     [2.0, 14.000000000000002, 0.0, 13.000000000000005, 32.0, 34.33333333333334],
+     [1.0381491544113093, 0.5985185940826797, 3.4902948178350925, 4.600109938532114,
+      None, None]),
+]
+
+
+@pytest.mark.parametrize("model, d, m, hits, alphas", PINNED_CELLS)
+def test_comparison_reproduces_pinned_cells(model, d, m, hits, alphas):
+    out = run_comparison(model, d, 3000, m, Allocation(kind="ibs", r=2.0 / 3.0), 0.05,
+                         replications=40, base_seed=5, cal_reps=10000)
+    assert [r.config.method for r in out] == list(METHODS)
+    assert [r.hits for r in out] == hits
+    assert [r.degenerate for r in out] == [0] * len(METHODS)
+    assert [r.alpha_used for r in out] == alphas
+
+
+class TestDivergence:
+    """A runaway chain fails like the serial driver: NonFiniteIterate at its step."""
+
+    d, T, sched = 20, 4000, StepSchedule(a=20.0)
+
+    def _serial_step(self, *lineage, T=None):
+        params = linspace_params(self.d)
+        cfg = SgdRunConfig(T=T or self.T, schedule=self.sched)
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_sgd(linear_oracle(params), cfg, derive_stream(*lineage))
+        assert exc.value.replication is None
+        return exc.value.t
+
+    def _coverage(self, method, R, m=4):
+        cfg = CoverageConfig(model="linear", d=self.d, T=self.T, method=method, m=m,
+                             alloc=Allocation(kind="ibs"), replications=R, base_seed=0,
+                             schedule=self.sched)
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_coverage(cfg)
+        return exc.value
+
+    def test_single_replication_reports_the_serial_step(self):
+        err = self._coverage("bmi_joint", R=1)
+        assert (err.t, err.replication) == (self._serial_step(0, 0), 0)
+
+    def test_earliest_replication_is_reported(self):
+        steps = [self._serial_step(0, rep) for rep in range(3)]
+        err = self._coverage("bm_marginal", R=3)
+        assert err.t == min(steps)
+        assert err.replication == steps.index(min(steps))
+
+    def test_sectioning_reports_the_replication_not_the_section(self):
+        m, R = 4, 2
+        steps = {(rep, j): self._serial_step(0, rep, j, T=self.T // m)
+                 for rep in range(R) for j in range(m)}
+        first = min(steps, key=steps.get)
+        err = self._coverage("sectioning_marginal", R=R, m=m)
+        assert (err.t, err.replication) == (steps[first], first[0])
+
+    def test_det_study_raises(self):
+        with pytest.raises(NonFiniteIterate):
+            run_det_study(d=self.d, m=25, T=self.T, model="linear", R=2, base_seed=0,
+                          schedule=self.sched)
+
+    def test_comparison_records_failed_cells(self):
+        # sections of T/25 = 160 steps end before any chain leaves the range
+        out = run_comparison("linear", self.d, self.T, 25, Allocation(kind="ibs"), 0.05,
+                             replications=2, base_seed=0, schedule=self.sched,
+                             cal_reps=10000)
+        for method, r in zip(METHODS, out):
+            if not method.startswith("sectioning"):
+                assert isinstance(r, FailedCell) and r.method == method
+                assert r.error.startswith("NonFiniteIterate")
 
 
 class TestVolumeStudy:

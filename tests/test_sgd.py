@@ -6,20 +6,8 @@ import pytest
 from sgdci.batching import Allocation, accumulate, make_plan
 from sgdci.errors import NonFiniteIterate, OracleDimensionMismatch
 from sgdci.models import linear_oracle, linspace_params
-from sgdci.sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd, step_size
+from sgdci.sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd
 from sgdci.streams import derive_stream
-
-
-@pytest.mark.parametrize(
-    "a, r, t, expected",
-    [
-        (1.0, 2.0 / 3.0, 8, 0.25),
-        (0.5, 0.75, 1, 0.5),
-        (2.0, 0.6, 32, 0.25),
-    ],
-)
-def test_step_size_values(a, r, t, expected):
-    assert step_size(StepSchedule(a=a, r=r), t) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("bad_r", [0.5, 1.0, 0.0, 1.4])

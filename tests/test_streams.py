@@ -1,10 +1,8 @@
 """Stream derivation: determinism, distinctness, and moment sanity checks."""
 
 import numpy as np
-import pytest
 
-from sgdci.errors import InvalidDimension
-from sgdci.streams import derive_stream, sample_std_normal_vec
+from sgdci.streams import derive_stream
 
 
 def test_same_lineage_identical():
@@ -36,31 +34,6 @@ def test_normal_moments():
     x = derive_stream(123).standard_normal(10**6)
     assert abs(float(np.mean(x))) < 4e-3
     assert abs(float(np.var(x)) - 1.0) < 1e-2
-
-
-def test_sample_std_normal_vec_shapes():
-    s = derive_stream(5)
-    v = sample_std_normal_vec(s, 3)
-    assert v.shape == (3,)
-    assert np.all(np.isfinite(v))
-
-
-def test_sample_std_normal_vec_repeatable():
-    a = sample_std_normal_vec(derive_stream(11, 2), 1)
-    b = sample_std_normal_vec(derive_stream(11, 2), 1)
-    assert a[0] == b[0]
-
-
-def test_sample_std_normal_vec_advances_state():
-    s = derive_stream(11, 2)
-    a = sample_std_normal_vec(s, 2)
-    b = sample_std_normal_vec(s, 2)
-    assert not np.array_equal(a, b)
-
-
-def test_sample_std_normal_vec_rejects_bad_dim():
-    with pytest.raises(InvalidDimension):
-        sample_std_normal_vec(derive_stream(1), 0)
 
 
 def test_cross_covariance_near_zero():
