@@ -9,10 +9,14 @@ as a distribution-free order-statistic confidence interval.
 
 Draw generation is chunked: chunk k of a calibration run consumes the
 stream (base_seed, k), so results are independent of thread count and the
-chunk schedule is reproducible. Inside a chunk the linear algebra is
-batched through numpy; the per-draw route below (simulate_limit_draw) uses
-the package's own factorization and serves as the reference the batched
-path is tested against.
+chunk schedule is reproducible. The chunk is the unit of stream and of
+thread, not of memory: _gram_blocks walks a chunk, and the determinant
+pass of the volume factor, in blocks of about 4 MB of normals, reducing
+each block to its Gram matrices in place while it is in cache, so a worker
+holds one block at a time whatever the chunk size or thread count. The
+per-draw route below (simulate_limit_draw) uses the package's own
+factorization and serves as the reference the batched path is tested
+against.
 
 With even weights the limit is the F(d, m-d) distribution rescaled, which
 provides an exact cross-check: f_quantile here is computed independently
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import binom
+from scipy.special import bdtr, bdtrik, betainc
 
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
@@ -41,6 +45,13 @@ MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
 _F_TOL = 1e-8
 _RESCUE_OFFSET = 1 << 32
+# Doubles of noise per block of _gram_blocks (4 MB): the peak memory of one
+# worker, small enough to stay in cache while the block is reduced to G.
+_BLOCK_DOUBLES = 1 << 19
+# Version of the route from a stream to a statistic (draw layout, skeleton
+# arithmetic, statistic). Bump it whenever a calibrated value can change,
+# even in its last bits, so QuantileCache never serves an older route's value.
+KERNEL_ROUTE = 2
 
 
 @dataclass(frozen=True)
@@ -147,39 +158,72 @@ def simulate_limit_draw(spec: LimitDrawSpec, stream: RandomStream) -> float:
 
 
 def _chunk_size(spec: LimitDrawSpec) -> int:
-    """Draws per chunk, sized so a chunk's noise block stays near 128 MB."""
+    """Draws per chunk, the unit of stream and of thread.
+
+    Chunk k of a calibration run consumes stream (base_seed, k), so these
+    values fix which draws a run makes; they no longer size memory, which
+    _gram_blocks bounds to one block per worker.
+    """
     return max(128, min(65536, (1 << 24) // max(1, spec.m * spec.d)))
 
 
-def _skeleton_grams(spec: LimitDrawSpec, normals: np.ndarray) -> np.ndarray:
-    """g_of_skeleton for n skeletons at once, from standard normals (n, m, d).
+def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: bool):
+    """Yield (G, Z) for n skeleton draws from gen, in blocks of about 4 MB.
 
-    Batch i's increments are normals[:, i] * sqrt(w_i); returns (n, d, d).
+    Each draw takes m*d standard normals for the increments (batch-major)
+    and, if with_z, d more for Z; drawing block by block consumes exactly
+    the normals of one (n, m*d [+ d]) call. G (b, d, d) is g_of_skeleton of
+    each draw, formed in place over the block's normals; Z is None without
+    with_z.
     """
+    m, d = spec.m, spec.d
+    width = m * d + (d if with_z else 0)
+    rows = max(16, _BLOCK_DOUBLES // (m * d + d))
     w = np.asarray(spec.w)
-    D = normals * np.sqrt(w)[None, :, None]
-    dev = D / w[None, :, None] - D.sum(axis=1)[:, None, :]
-    return np.einsum("nmi,nmj->nij", dev, dev) / (spec.m - 1)
+    sqw = np.sqrt(w)
+    sqw_flat = np.repeat(sqw, d)  # sqrt(w_i) at each of batch i's d normals
+    for start in range(0, n, rows):
+        raw = gen.standard_normal((min(rows, n - start), width))
+        flat = raw[:, : m * d]
+        N = flat.reshape(-1, m, d)
+        if d == 1:
+            # elementwise, the arithmetic the d = 1 quantiles were made with
+            flat *= sqw
+            b1 = flat.sum(axis=1)
+            flat /= w
+            flat -= b1[:, None]
+            G = np.einsum("nmi,nmj->nij", N, N)
+        else:
+            b1 = np.matmul(sqw, N)  # B(1), the increments' sum
+            flat /= sqw_flat  # batch slopes D_i / w_i
+            N -= b1[:, None, :]
+            G = np.matmul(N.transpose(0, 2, 1), N)
+        G /= m - 1
+        yield G, (raw[:, m * d :] if with_z else None)
 
 
 def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
     """n statistics from stream (base_seed, chunk_index), batched."""
-    m, d = spec.m, spec.d
     stream = derive_stream(base_seed, chunk_index)
-    raw = stream.gen.standard_normal((n, m * d + d))
-    G = _skeleton_grams(spec, raw[:, : m * d].reshape(n, m, d))
-    Z = raw[:, m * d :]
-    try:
-        sol = np.linalg.solve(G, Z[..., None])[..., 0]
-        stats = spec.factor * np.einsum("nd,nd->n", Z, sol)
-    except np.linalg.LinAlgError:
-        stats = np.full(n, np.nan)
-        for i in range(n):
-            gi = SymMatrix(G[i])
-            try:
-                stats[i] = spec.factor * quad_form_inv(gi, Z[i])
-            except NotPositiveDefinite:
-                pass  # rescued below
+    stats = np.empty(n)
+    done = 0
+    for G, Z in _gram_blocks(spec, stream.gen, n, with_z=True):
+        out = stats[done : done + len(G)]
+        done += len(G)
+        if spec.d == 1:
+            # the solve below in closed form; g = 0 gives inf or nan, rescued
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[:] = spec.factor * (Z[:, 0] * (Z[:, 0] / G[:, 0, 0]))
+            continue
+        try:
+            sol = np.linalg.solve(G, Z[..., None])[..., 0]
+            out[:] = spec.factor * np.einsum("nd,nd->n", Z, sol)
+        except np.linalg.LinAlgError:
+            for i in range(len(G)):
+                try:
+                    out[i] = spec.factor * quad_form_inv(SymMatrix(G[i]), Z[i])
+                except NotPositiveDefinite:
+                    out[i] = np.nan  # rescued below
     bad = ~np.isfinite(stats)
     if np.any(bad):
         rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
@@ -191,8 +235,11 @@ def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
 class QuantileCache:
     """Persistent store of calibrated quantiles, one JSON record per key.
 
-    Writes go through a temporary file and an atomic rename, so a crashed
-    run never leaves a truncated cache behind.
+    Keys and records carry KERNEL_ROUTE, so a record made by another draw
+    route (or stored before routes were versioned) is a miss, recomputed
+    and stored under the current route. Writes go through a temporary file
+    and an atomic rename, so a crashed run never leaves a truncated cache
+    behind.
     """
 
     def __init__(self, path):
@@ -205,11 +252,12 @@ class QuantileCache:
     @staticmethod
     def _key_str(key: tuple) -> str:
         d, m, wkey, delta, reps, seed = key
-        return f"d={d}|m={m}|w={wkey}|delta={delta!r}|reps={reps}|seed={seed}"
+        return (f"route={KERNEL_ROUTE}|d={d}|m={m}|w={wkey}|delta={delta!r}"
+                f"|reps={reps}|seed={seed}")
 
     def get(self, key: tuple) -> Optional[ScalingQuantile]:
         rec = self._records.get(self._key_str(key))
-        if rec is None:
+        if rec is None or rec.get("route") != KERNEL_ROUTE:
             return None
         return ScalingQuantile(
             alpha_hat=rec["alpha_hat"],
@@ -223,6 +271,7 @@ class QuantileCache:
     def put(self, sq: ScalingQuantile) -> None:
         d, m, wkey, delta, reps, seed = sq.key
         self._records[self._key_str(sq.key)] = {
+            "route": KERNEL_ROUTE,
             "d": d,
             "m": m,
             "weights_key": wkey,
@@ -293,8 +342,8 @@ def estimate_alpha(
     stats.sort()
     p = 1.0 - delta
     k = int(np.ceil(p * reps))
-    lo_rank = int(binom.ppf(0.025, reps, p))
-    hi_rank = int(binom.ppf(0.975, reps, p)) + 1
+    lo_rank = _binom_ppf(0.025, reps, p)
+    hi_rank = _binom_ppf(0.975, reps, p) + 1
     lo_rank = min(max(lo_rank, 1), k)
     hi_rank = max(min(hi_rank, reps), k)
     sq = ScalingQuantile(
@@ -308,6 +357,17 @@ def estimate_alpha(
     if cache is not None:
         cache.put(sq)
     return sq
+
+
+def _binom_ppf(q: float, n: int, p: float) -> int:
+    """Smallest k with P(Binomial(n, p) <= k) >= q, for 0 < q < 1.
+
+    Computed as scipy.stats.binom.ppf long was (ceil of bdtrik, then one
+    step down where the CDF allows), through scipy.special alone: importing
+    scipy.stats costs most of the package's start-up time.
+    """
+    k = math.ceil(bdtrik(q, n, p))
+    return k - 1 if k >= 1 and bdtr(k - 1, n, p) >= q else k
 
 
 def f_quantile(d1: int, d2: int, p: float) -> float:

@@ -99,28 +99,31 @@ def _run_chains(model: str, x_star, schedule: StepSchedule, burn_in: int,
             coef = -lbl * expit(-lbl * xa)
         return x - gam * (coef[:, None] * av)
 
-    t = 0
-    while t < total:
-        c = min(chunk, total - t)
-        for j, g in enumerate(gens):
-            noise[:c, j, :] = g.standard_normal((c, d + 1))
-        x_start = x
-        for s in range(c):
-            tt = t + s + 1
-            x = advance(x, noise[s], tt)
-            k = tt - burn_in - 1
-            if k >= 0:
-                sums[step_batch[k]] += x
-        if not np.isfinite(x).all():
-            # A non-finite coordinate never turns finite again, so one check
-            # per block sees every divergence; replay the block to find it.
-            x = x_start
+    # Overflow on the way to NonFiniteIterate is expected; the exception is
+    # the one signal a diverging chain gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 0
+        while t < total:
+            c = min(chunk, total - t)
+            for j, g in enumerate(gens):
+                noise[:c, j, :] = g.standard_normal((c, d + 1))
+            x_start = x
             for s in range(c):
-                x = advance(x, noise[s], t + s + 1)
-                bad = ~np.isfinite(x).all(axis=1)
-                if bad.any():
-                    raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
-        t += c
+                tt = t + s + 1
+                x = advance(x, noise[s], tt)
+                k = tt - burn_in - 1
+                if k >= 0:
+                    sums[step_batch[k]] += x
+            if not np.isfinite(x).all():
+                # A non-finite coordinate never turns finite again, so one check
+                # per block sees every divergence; replay the block to find it.
+                x = x_start
+                for s in range(c):
+                    x = advance(x, noise[s], t + s + 1)
+                    bad = ~np.isfinite(x).all(axis=1)
+                    if bad.any():
+                        raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
+            t += c
     xi = sums / sizes[:, None, None]
     xbar = sums.sum(axis=0) / float(T)
     return xi, xbar

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import BatchMeansSummary, _joint_constant, sample_cov, sample_sigma
-from .calibration import (
-    LimitDrawSpec,
-    ScalingQuantile,
-    _chunk_size,
-    _skeleton_grams,
-    weights_key,
-)
+from .calibration import LimitDrawSpec, ScalingQuantile, _gram_blocks, weights_key
 from .errors import (
     BatchCountTooSmall,
     DegenerateCovariance,
@@ -163,15 +157,12 @@ def expected_volume_factor(
     _check_key(alpha, d, m, spec.w)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    chunk = _chunk_size(spec)
     dets = np.empty(reps)
     done = 0
-    while done < reps:
-        n = min(chunk, reps - done)
-        G = _skeleton_grams(spec, stream.gen.standard_normal((n, m, d)))
+    for G, _ in _gram_blocks(spec, stream.gen, reps, with_z=False):
         sign, logdet = np.linalg.slogdet(G)
-        dets[done : done + n] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
-        done += n
+        dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
+        done += len(G)
     e_det = float(dets.mean())
     se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     cfac = _joint_constant(d, m) ** (d / 2.0)

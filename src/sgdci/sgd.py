@@ -85,15 +85,18 @@ def run_sgd(
         x = x.copy()
     a, r = config.schedule.a, config.schedule.r
     burn = config.burn_in
-    for t in range(1, burn + config.T + 1):
-        g = np.asarray(oracle.next_gradient(x, stream), dtype=float)
-        if g.shape != (d,):
-            raise OracleDimensionMismatch(
-                f"oracle returned shape {g.shape}, expected ({d},)"
-            )
-        x = x - (a * t ** (-r)) * g
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterate(t)
-        if observer is not None and t > burn:
-            observer(x)
+    # A diverging run overflows on its way to NonFiniteIterate, which is
+    # the one signal it gives; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, burn + config.T + 1):
+            g = np.asarray(oracle.next_gradient(x, stream), dtype=float)
+            if g.shape != (d,):
+                raise OracleDimensionMismatch(
+                    f"oracle returned shape {g.shape}, expected ({d},)"
+                )
+            x = x - (a * t ** (-r)) * g
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteIterate(t)
+            if observer is not None and t > burn:
+                observer(x)
     return x

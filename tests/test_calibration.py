@@ -5,13 +5,21 @@ weight case must bracket exact F quantiles, and the batched chunk evaluator
 must reproduce the one-draw-at-a-time reference path draw for draw.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sgdci import calibration
 from sgdci.batching import Allocation, ideal_weights, make_plan
 from sgdci.calibration import (
+    KERNEL_ROUTE,
     LimitDrawSpec,
     QuantileCache,
+    ScalingQuantile,
+    _binom_ppf,
+    _chunk_size,
     _eval_chunk,
     estimate_alpha,
     f_quantile,
@@ -21,6 +29,7 @@ from sgdci.calibration import (
     weights_key,
 )
 from sgdci.errors import DimensionMismatch
+from sgdci.inference import expected_volume_factor
 from sgdci.linalg import det_sqrt
 from sgdci.streams import derive_stream
 
@@ -163,13 +172,55 @@ class TestEstimateAlpha:
 
     def test_chunked_path_matches_serial_reference(self):
         # route A: the vectorized chunk evaluator; route B: one draw at a
-        # time through the scalar reference implementation, same stream
-        spec = even_spec(2, 7)
-        n = 50
-        chunk_stats = _eval_chunk(spec, n, 0, 555)
-        stream = derive_stream(555, 0)
-        serial = np.array([simulate_limit_draw(spec, stream) for _ in range(n)])
-        assert np.allclose(chunk_stats, serial, rtol=1e-9, atol=1e-12)
+        # time through the scalar reference implementation, same stream.
+        # The unevenly weighted cases run over three blocks and part of a
+        # fourth.
+        ibs = Allocation(kind="ibs", r=2.0 / 3.0)
+        cases = [(even_spec(2, 7), 50)] + [
+            (LimitDrawSpec(d, m, tuple(ideal_weights(m, ibs))),
+             3 * (calibration._BLOCK_DOUBLES // (m * d + d)) + 5)
+            for d, m in ((1, 1000), (2, 500), (5, 200))
+        ]
+        for spec, n in cases:
+            chunk_stats = _eval_chunk(spec, n, 0, 555)
+            stream = derive_stream(555, 0)
+            serial = np.array([simulate_limit_draw(spec, stream) for _ in range(n)])
+            assert np.allclose(chunk_stats, serial, rtol=1e-9, atol=1e-12), (spec.d, spec.m)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_block_size_does_not_change_results(self, d, monkeypatch):
+        w = ideal_weights(d + 9, Allocation(kind="ibs", r=2.0 / 3.0))
+        spec = LimitDrawSpec(d, d + 9, tuple(w))
+        alpha = ScalingQuantile(1.0, 0.9, 1.1, 0.05, 10**4,
+                                (d, spec.m, weights_key(w), 0.05, 10**4, 0))
+
+        def run():
+            vol = expected_volume_factor(d, spec.m, w, alpha, 300, derive_stream(3))
+            return _eval_chunk(spec, 300, 2, 8), vol.e_det_sqrt, vol.se_det_sqrt
+
+        one_block = run()
+        monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
+        many_blocks = run()
+        assert np.array_equal(one_block[0], many_blocks[0])
+        assert one_block[1:] == many_blocks[1:]
+
+    def test_chunk_memory_is_one_block(self):
+        spec = even_spec(5, 100)
+        tracemalloc.start()
+        try:
+            _eval_chunk(spec, _chunk_size(spec), 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("reps", [10**4, 3 * 10**4 + 7, 10**5, 10**6, 10**7])
+    def test_order_statistic_ranks_match_scipy(self, reps):
+        from scipy.stats import binom
+
+        for p in (0.5, 0.9, 0.95, 0.975, 0.99):
+            for q in (0.025, 0.975):
+                assert _binom_ppf(q, reps, p) == int(binom.ppf(q, reps, p))
 
     def test_quantile_monotone_in_delta(self):
         spec = even_spec(1, 8)
@@ -211,6 +262,26 @@ class TestQuantileCache:
         b = estimate_alpha(even_spec(1, 6), 0.05, 10**4, 81, cache=cache)
         assert a.key != b.key
         assert len(cache._records) == 2
+
+    def test_records_of_other_routes_are_not_served(self, tmp_path):
+        path = tmp_path / "q.json"
+        spec = even_spec(1, 6)
+        fresh = estimate_alpha(spec, 0.05, 10**4, 82)
+        d, m, wkey, delta, reps, seed = fresh.key
+        poison = {"d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
+                  "base_seed": seed, "alpha_hat": -1.0, "ci_low": -2.0, "ci_high": 0.0}
+        # one record in the unversioned key format, one under the current
+        # key string but made by an older route
+        unversioned = f"d={d}|m={m}|w={wkey}|delta={delta!r}|reps={reps}|seed={seed}"
+        current = QuantileCache._key_str(fresh.key)
+        path.write_text(json.dumps({
+            unversioned: poison,
+            current: dict(poison, route=KERNEL_ROUTE - 1),
+        }))
+        served = estimate_alpha(spec, 0.05, 10**4, 82, cache=QuantileCache(path))
+        assert served == fresh
+        stored = json.loads(path.read_text())[current]
+        assert (stored["route"], stored["alpha_hat"]) == (KERNEL_ROUTE, fresh.alpha_hat)
 
     def test_weights_key_sensitivity(self):
         w1 = (0.5, 0.5)

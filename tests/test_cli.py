@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,15 @@ def _write_linear_csv(path, n=400, d=2, seed=3):
             a = rng.standard_normal(d)
             b = float(a @ x_star + rng.standard_normal())
             fh.write(",".join(f"{v:.10g}" for v in a) + f",{b:.10g}\n")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; every CLI call would pay it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, sgdci.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_exits_zero():

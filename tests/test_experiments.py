@@ -184,7 +184,9 @@ class TestSingleRunAgreement:
 
 
 # hits per method in METHODS order, then alpha_used per method, measured on
-# the harness that predates the shared single-run code
+# the harness that predates the shared single-run code (the logistic
+# bm_joint alpha re-recorded, 3 ulp higher, when the limit-draw Gram moved
+# from einsum to matmul)
 PINNED_CELLS = [
     ("linear", 2, 12,
      [40.0, 39.0, 38.0, 38.5, 40.0, 39.5],
@@ -192,7 +194,7 @@ PINNED_CELLS = [
       None, None]),
     ("logistic", 3, 15,
      [2.0, 14.000000000000002, 0.0, 13.000000000000005, 32.0, 34.33333333333334],
-     [1.0381491544113093, 0.5985185940826797, 3.4902948178350925, 4.600109938532114,
+     [1.03814915441131, 0.5985185940826797, 3.4902948178350925, 4.600109938532114,
       None, None]),
 ]
 
