@@ -14,7 +14,6 @@ import pytest
 from sgdci import calibration
 from sgdci.batching import Allocation, ideal_weights, make_plan
 from sgdci.calibration import (
-    KERNEL_ROUTE,
     LimitDrawSpec,
     QuantileCache,
     ScalingQuantile,
@@ -268,20 +267,16 @@ class TestQuantileCache:
         spec = even_spec(1, 6)
         fresh = estimate_alpha(spec, 0.05, 10**4, 82)
         d, m, wkey, delta, reps, seed = fresh.key
-        poison = {"d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
-                  "base_seed": seed, "alpha_hat": -1.0, "ci_low": -2.0, "ci_high": 0.0}
-        # one record in the unversioned key format, one under the current
-        # key string but made by an older route
+        # a record in the unversioned key format of earlier releases
         unversioned = f"d={d}|m={m}|w={wkey}|delta={delta!r}|reps={reps}|seed={seed}"
-        current = QuantileCache._key_str(fresh.key)
-        path.write_text(json.dumps({
-            unversioned: poison,
-            current: dict(poison, route=KERNEL_ROUTE - 1),
-        }))
+        path.write_text(json.dumps({unversioned: {
+            "d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
+            "base_seed": seed, "alpha_hat": -1.0, "ci_low": -2.0, "ci_high": 0.0}}))
         served = estimate_alpha(spec, 0.05, 10**4, 82, cache=QuantileCache(path))
         assert served == fresh
-        stored = json.loads(path.read_text())[current]
-        assert (stored["route"], stored["alpha_hat"]) == (KERNEL_ROUTE, fresh.alpha_hat)
+        stored = json.loads(path.read_text())
+        assert list(stored) == [QuantileCache._key_str(fresh.key)]
+        assert stored[QuantileCache._key_str(fresh.key)]["alpha_hat"] == fresh.alpha_hat
 
     def test_weights_key_sensitivity(self):
         w1 = (0.5, 0.5)

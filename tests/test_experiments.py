@@ -184,9 +184,7 @@ class TestSingleRunAgreement:
 
 
 # hits per method in METHODS order, then alpha_used per method, measured on
-# the harness that predates the shared single-run code (the logistic
-# bm_joint alpha re-recorded, 3 ulp higher, when the limit-draw Gram moved
-# from einsum to matmul)
+# the harness that predates the shared single-run code
 PINNED_CELLS = [
     ("linear", 2, 12,
      [40.0, 39.0, 38.0, 38.5, 40.0, 39.5],
