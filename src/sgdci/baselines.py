@@ -27,7 +27,6 @@ from .batching import (
     Allocation,
     BatchMeansSummary,
     BatchPlan,
-    accumulate,
     make_plan,
     sample_cov,
     sample_sigma,
@@ -35,8 +34,9 @@ from .batching import (
 from .calibration import ScalingQuantile, f_quantile, weights_key
 from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
 from .linalg import SymMatrix
-from .sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd
+from .sgd import GradientOracle, SgdRunConfig, StepSchedule, single_run
 from .streams import RandomStream, derive_stream
+
 
 @dataclass
 class SectioningResult:
@@ -50,9 +50,13 @@ class SectioningResult:
     delta: float
 
 
-def _section_plan(m: int, section_T: int) -> BatchPlan:
-    """m equal sections as one even-split plan; its weights are exactly 1/m."""
-    return make_plan(m * section_T, m, Allocation(kind="es"))
+def _section_plan(m: int, total_T: int) -> BatchPlan:
+    """m sections of total_T // m steps as one even-split plan (weights 1/m)."""
+    if m < 2:
+        raise ValueError(f"sectioning needs m >= 2, got {m}")
+    if total_T // m < 1:
+        raise ValueError(f"total_T={total_T} leaves empty sections at m={m}")
+    return make_plan(m * (total_T // m), m, Allocation(kind="es"))
 
 
 def _exact_quantile(d: int, plan: BatchPlan, delta: float) -> ScalingQuantile:
@@ -90,19 +94,15 @@ def sectioning_infer(
     reproducible from the seed. The joint scaling parameter is the exact
     F(d, m-d) quantile; the marginal one is F(1, m-1).
     """
-    if m < 2:
-        raise ValueError(f"sectioning needs m >= 2, got {m}")
-    section_T = total_T // m
-    if section_T < 1:
-        raise ValueError(f"total_T={total_T} leaves empty sections at m={m}")
-    d = oracle_factory(0).dim
-    plan = _section_plan(m, section_T)
-    acc = accumulate(plan, d)  # section j fills batch j
+    plan = _section_plan(m, total_T)
+    section_T = plan.T // m
     cfg = SgdRunConfig(T=section_T, burn_in=burn_in, x0=x0, schedule=schedule)
-    for j in range(m):
-        stream = derive_stream(base_seed, *lineage_prefix, j)
-        run_sgd(oracle_factory(j), cfg, stream, acc.feed)
-    means = acc.finalize().xi
+    means = np.array([
+        single_run(oracle_factory(j), cfg, derive_stream(base_seed, *lineage_prefix, j),
+                   [0, section_T])[1]
+        for j in range(m)
+    ])
+    d = means.shape[1]
     summary = BatchMeansSummary(plan=plan, xi=means, xbar=means.mean(axis=0), d=d)
     region = None
     if m > d:
@@ -134,6 +134,13 @@ class BmiResult:
 
 def bmi_batch_count(T: int) -> int:
     return math.ceil(T ** 0.25)
+
+
+def _bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
+    """m_n = ceil(T^{1/4}) increasing batches at exponent alloc_r; T >= 16."""
+    if T < 16:
+        raise ValueError(f"BMI-style inference needs T >= 16, got {T}")
+    return make_plan(T, bmi_batch_count(T), Allocation(kind="ibs", r=alloc_r))
 
 
 def bmi_from_stats(xbar: np.ndarray, sigma: np.ndarray, m_n: int, delta: float) -> BmiResult:
@@ -170,12 +177,8 @@ def bmi_infer(
     Marginal intervals use z at level delta; the joint declaration splits
     delta across coordinates (Bonferroni), i.e. uses z at delta / d.
     """
-    if T < 16:
-        raise ValueError(f"BMI-style inference needs T >= 16, got {T}")
-    m_n = bmi_batch_count(T)
-    plan = make_plan(T, m_n, Allocation(kind="ibs", r=alloc_r))
-    acc = accumulate(plan, oracle.dim)
+    plan = _bmi_plan(T, alloc_r)
     cfg = SgdRunConfig(T=T, burn_in=burn_in, x0=x0, schedule=schedule or StepSchedule())
-    run_sgd(oracle, cfg, stream, acc.feed)
-    summary = acc.finalize()
-    return bmi_from_stats(summary.xbar, sample_sigma(summary), m_n, delta)
+    xi, xbar = single_run(oracle, cfg, stream, plan.boundaries)
+    summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=oracle.dim)
+    return bmi_from_stats(xbar, sample_sigma(summary), plan.m, delta)

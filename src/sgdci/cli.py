@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .batching import Allocation, accumulate, ideal_weights, make_plan
+from .batching import Allocation, BatchMeansSummary, ideal_weights, make_plan
 from .calibration import (
     LimitDrawSpec,
     QuantileCache,
@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .inference import build_region, marginal_intervals, region_volume
 from .models import ingest_csv
-from .sgd import SgdRunConfig, StepSchedule, run_sgd
+from .sgd import SgdRunConfig, StepSchedule, single_run
 from .streams import derive_stream
 
 CACHE_ENV = "SGDCI_CACHE"
@@ -177,23 +177,17 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    samples, oracle = ingest_csv(args.data, args.model)
-    n = len(samples)
+    rows, oracle = ingest_csv(args.data, args.model)
+    n = len(rows)
     if args.burn_in >= n:
         raise ValueError(f"burn-in {args.burn_in} consumes all {n} rows")
     T = n - args.burn_in
-    alloc = _alloc_from(args)
-    plan = make_plan(T, args.m, alloc)
+    config = SgdRunConfig(T=T, burn_in=args.burn_in,
+                          schedule=StepSchedule(a=args.step_a, r=args.step_r))
+    plan = make_plan(T, args.m, _alloc_from(args))
     d = oracle.dim
-    schedule = StepSchedule(a=args.step_a, r=args.step_r)
-    acc = accumulate(plan, d)
-    run_sgd(
-        oracle,
-        SgdRunConfig(T=T, burn_in=args.burn_in, schedule=schedule),
-        derive_stream(args.seed),
-        observer=acc.feed,
-    )
-    summary = acc.finalize()
+    xi, xbar = single_run(oracle, config, derive_stream(args.seed), plan.boundaries)
+    summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=d)
     cache = _cache_from(args)
     doc = {
         "config": _effective_config(args),

@@ -2,11 +2,10 @@
 
 Replication r of a study consumes the stream (base_seed, r) and nothing
 else, so reports are reproducible and independent of scheduling. The SGD
-recursions of all replications advance together on (R, d) arrays, drawing
-each replication's noise in blocks from its own generator; this produces
-draw-for-draw the same iterates as running the serial driver once per
-replication (a tested equivalence), while keeping desk-scale tables in the
-seconds-to-minutes range.
+recursions of all replications advance together through `sgd.run_chains`,
+the same driver a single run uses at R = 1, so each replication's iterates
+are those of a serial run on its stream by construction, while desk-scale
+tables stay in the seconds-to-minutes range.
 
 Every report embeds its full configuration. Wall-clock time is recorded for
 convenience but is the one field outside the determinism contract.
@@ -21,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtr
 
-from .baselines import _exact_quantile, _section_plan, bmi_batch_count, bmi_from_stats
+from .baselines import _bmi_plan, _exact_quantile, _section_plan, bmi_from_stats
 from .batching import (
     Allocation,
     BatchMeansSummary,
@@ -43,8 +41,8 @@ from .calibration import (
 from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, SgdciError
 from .inference import VolumeFactor, build_region, expected_volume_factor, marginal_intervals
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
-from .models import linspace_params
-from .sgd import StepSchedule
+from .models import ORACLES, linspace_params
+from .sgd import SgdRunConfig, StepSchedule, run_chains
 from .streams import derive_stream
 
 DESK_REPLICATIONS = 300
@@ -61,79 +59,11 @@ METHODS = (
 )
 
 
-def _run_chains(model: str, x_star, schedule: StepSchedule, burn_in: int,
-                T: int, boundaries, gens):
-    """Advance len(gens) independent recursions and return batch statistics.
-
-    boundaries is any integer array 0 = tau_0 < ... < tau_m = T; returns
-    (xi, xbar) with xi of shape (m, R, d) and xbar of shape (R, d). Chain j
-    draws (d + 1) standard normals per step from gens[j], block-buffered, in
-    exactly the order the serial driver would. A chain that leaves the
-    finite range raises NonFiniteIterate with the step index the serial
-    driver would report and the chain's index as the replication.
-    """
-    R = len(gens)
-    x_star = np.asarray(x_star, dtype=float)
-    d = x_star.shape[0]
-    bounds = np.asarray(boundaries, dtype=np.int64)
-    m = len(bounds) - 1
-    sizes = np.diff(bounds).astype(float)
-    step_batch = np.searchsorted(bounds, np.arange(T), side="right") - 1
-    x = np.zeros((R, d))
-    sums = np.zeros((m, R, d))
-    total = burn_in + T
-    chunk = max(64, min(4096, (1 << 21) // max(1, R * (d + 1))))
-    noise = np.empty((chunk, R, d + 1))
-    a_sched, r_sched = schedule.a, schedule.r
-
-    def advance(x, step_noise, tt):
-        gam = a_sched * tt ** (-r_sched)
-        av = step_noise[:, :d]
-        xa = np.einsum("rd,rd->r", av, x)
-        if model == "linear":
-            b = av @ x_star + step_noise[:, d]
-            coef = -2.0 * (b - xa)
-        else:
-            u = ndtr(step_noise[:, d])
-            lbl = np.where(u < expit(av @ x_star), 1.0, -1.0)
-            coef = -lbl * expit(-lbl * xa)
-        return x - gam * (coef[:, None] * av)
-
-    # Overflow on the way to NonFiniteIterate is expected; the exception is
-    # the one signal a diverging chain gives.
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = 0
-        while t < total:
-            c = min(chunk, total - t)
-            for j, g in enumerate(gens):
-                noise[:c, j, :] = g.standard_normal((c, d + 1))
-            x_start = x
-            for s in range(c):
-                tt = t + s + 1
-                x = advance(x, noise[s], tt)
-                k = tt - burn_in - 1
-                if k >= 0:
-                    sums[step_batch[k]] += x
-            if not np.isfinite(x).all():
-                # A non-finite coordinate never turns finite again, so one check
-                # per block sees every divergence; replay the block to find it.
-                x = x_start
-                for s in range(c):
-                    x = advance(x, noise[s], t + s + 1)
-                    bad = ~np.isfinite(x).all(axis=1)
-                    if bad.any():
-                        raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
-            t += c
-    xi = sums / sizes[:, None, None]
-    xbar = sums.sum(axis=0) / float(T)
-    return xi, xbar
-
-
-def _replicate(model: str, x_star, schedule: StepSchedule, burn_in: int,
-               plan: BatchPlan, R: int, base_seed: int) -> list:
+def _replicate(oracle, config: SgdRunConfig, plan: BatchPlan, R: int,
+               base_seed: int) -> list:
     """One BatchMeansSummary per chain; chain r runs on stream (base_seed, r)."""
     gens = [derive_stream(base_seed, rep).gen for rep in range(R)]
-    xi, xbar = _run_chains(model, x_star, schedule, burn_in, plan.T, plan.boundaries, gens)
+    xi, xbar = run_chains(oracle, config, gens, plan.boundaries)
     return [
         BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
         for r in range(R)
@@ -210,42 +140,38 @@ def run_coverage(
     """
     t0 = time.perf_counter()
     cfg = config
-    x_star = linspace_params(cfg.d).x_star
+    params = linspace_params(cfg.d)
+    x_star = params.x_star
     R = cfg.replications
     d = cfg.d
     mth = cfg.method
-
+    oracle = ORACLES[cfg.model](params)
     if mth.startswith("sectioning"):
         sections = cfg.m
-        sec_T = cfg.T // sections
-        if sec_T < 1:
-            raise ValueError(f"T={cfg.T} leaves empty sections at m={sections}")
+        plan = _section_plan(sections, cfg.T)
+        sec_T = plan.T // sections
         gens = [
             derive_stream(cfg.base_seed, rep, j).gen
             for rep in range(R)
             for j in range(sections)
         ]
         try:
-            _, chain_means = _run_chains(
-                cfg.model, x_star, cfg.schedule, cfg.burn_in, sec_T, [0, sec_T], gens
-            )
+            sgd_cfg = SgdRunConfig(T=sec_T, burn_in=cfg.burn_in, schedule=cfg.schedule)
+            _, chain_means = run_chains(oracle, sgd_cfg, gens, [0, sec_T])
         except NonFiniteIterate as e:
             raise NonFiniteIterate(e.t, replication=e.replication // sections) from None
-        plan = _section_plan(sections, sec_T)
         summaries = [
             BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
             for mu in chain_means.reshape(R, sections, d)
         ]
     else:
         if mth.startswith("bmi"):
-            m_n = bmi_batch_count(cfg.T)
             alloc_r = cfg.alloc.r if cfg.alloc.kind in ("ibs", "dbs") else 2.0 / 3.0
-            plan = make_plan(cfg.T, m_n, Allocation(kind="ibs", r=alloc_r))
+            plan = _bmi_plan(cfg.T, alloc_r)
         else:
             plan = make_plan(cfg.T, cfg.m, cfg.alloc)
-        summaries = _replicate(
-            cfg.model, x_star, cfg.schedule, cfg.burn_in, plan, R, cfg.base_seed
-        )
+        sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
+        summaries = _replicate(oracle, sgd_cfg, plan, R, cfg.base_seed)
 
     joint = mth.endswith("joint")
     alpha = None
@@ -369,9 +295,8 @@ def run_det_study(
     collapses, which is the phenomenon being measured.
     """
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
-    sched = schedule or StepSchedule()
-    x_star = linspace_params(d).x_star
-    summaries = _replicate(model, x_star, sched, burn_in, plan, R, base_seed)
+    config = SgdRunConfig(T=T, burn_in=burn_in, schedule=schedule or StepSchedule())
+    summaries = _replicate(ORACLES[model](linspace_params(d)), config, plan, R, base_seed)
     return np.array(
         [det_sqrt(SymMatrix(float(T) * sample_cov(s).entries)) ** 2 for s in summaries]
     )

@@ -1,17 +1,20 @@
-"""Synthetic data models and gradient oracles.
+"""Synthetic data models, gradient oracles, and CSV replay.
 
 Two families: least squares with Gaussian noise, and logistic regression
-with labels in {-1, +1}. Covariates are standard normal in both. Each
-oracle consumes exactly d + 1 standard normal variates per step (d for the
-covariate vector, one for the response channel); the logistic label turns
-its normal variate into a uniform through the normal CDF. Keeping the
-per-step noise budget fixed lets a replication-vectorized driver draw the
-same stream in blocks and reproduce a serial run draw for draw.
+with labels in {-1, +1}. `linear_gradient` and `logistic_gradient` are the
+package's only gradient formulas; they work row by row, so the driver
+applies them to every chain of a step at once. Covariates are standard
+normal in both synthetic models. Each synthetic oracle draws exactly d + 1
+standard normal variates per step (d for the covariate vector, one for the
+response channel) and maps them to (a, b); the logistic label turns its
+normal variate into a uniform through the normal CDF. A CSV dataset is
+replayed from an (n, d + 1) array of rows (a, b), one row per step.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,76 +48,73 @@ def linspace_params(d: int) -> TrueParams:
     return TrueParams(np.linspace(0.0, 1.0, d))
 
 
-def linear_gradient(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Gradient of (b - x^T a)^2 at x."""
-    return -2.0 * (b - x @ a) * a
+def linear_gradient(x: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """Gradient of (b - x^T a)^2 at x, row by row over leading axes."""
+    coef = -2.0 * (b - np.einsum("...d,...d->...", a, x))
+    return coef[..., None] * a
 
 
-def logistic_gradient(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Gradient of log(1 + exp(-b x^T a)) at x."""
-    return -b * expit(-b * (x @ a)) * a
+def logistic_gradient(x: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """Gradient of log(1 + exp(-b x^T a)) at x, row by row over leading axes."""
+    coef = -b * expit(-b * np.einsum("...d,...d->...", a, x))
+    return coef[..., None] * a
 
 
 def linear_oracle(params: TrueParams) -> GradientOracle:
     """Draws a ~ N(0, I_d), b = x*^T a + eps with eps ~ N(0, 1)."""
-    xs = params.x_star
-    d = params.d
+    xs, d = params.x_star, params.d
 
-    def next_gradient(x, stream):
-        n = stream.gen.standard_normal(d + 1)
-        a = n[:d]
-        b = xs @ a + n[d]
-        return linear_gradient(x, a, b)
+    def gradient(x, z):
+        a = z[:, :d]
+        return linear_gradient(x, a, a @ xs + z[:, d])
 
-    return GradientOracle(dim=d, next_gradient=next_gradient)
+    return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),
+                          gradient=gradient)
 
 
 def logistic_oracle(params: TrueParams) -> GradientOracle:
     """Draws a ~ N(0, I_d); b = +1 with probability (1 + exp(-x*^T a))^{-1}."""
-    xs = params.x_star
-    d = params.d
+    xs, d = params.x_star, params.d
 
-    def next_gradient(x, stream):
-        n = stream.gen.standard_normal(d + 1)
-        a = n[:d]
-        u = ndtr(n[d])
-        b = 1.0 if u < expit(xs @ a) else -1.0
+    def gradient(x, z):
+        a = z[:, :d]
+        b = np.where(ndtr(z[:, d]) < expit(a @ xs), 1.0, -1.0)
         return logistic_gradient(x, a, b)
 
-    return GradientOracle(dim=d, next_gradient=next_gradient)
+    return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),
+                          gradient=gradient)
 
 
-@dataclass(frozen=True)
-class Sample:
-    a: np.ndarray
-    b: float
+ORACLES = {"linear": linear_oracle, "logistic": logistic_oracle}
 
 
-def _replay_oracle(samples, model_kind: str) -> GradientOracle:
-    d = samples[0].a.shape[0]
+def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
+    d = rows.shape[1] - 1
     grad = linear_gradient if model_kind == "linear" else logistic_gradient
-    state = {"i": 0}
+    cursor = [0]
 
-    def next_gradient(x, stream):
-        i = state["i"]
-        if i >= len(samples):
+    def draw(gen, n):
+        i = cursor[0]
+        if i + n > len(rows):
             raise ExhaustedData(
-                f"data provides {len(samples)} rows; the run requested more"
+                f"data provides {len(rows)} rows; the run requested more"
             )
-        state["i"] = i + 1
-        s = samples[i]
-        return grad(x, s.a, s.b)
+        cursor[0] = i + n
+        return rows[i:i + n]
 
-    return GradientOracle(dim=d, next_gradient=next_gradient)
+    def gradient(x, rows_t):
+        return grad(x, rows_t[:, :d], rows_t[:, d])
+
+    return GradientOracle(dim=d, draw=draw, gradient=gradient)
 
 
 def ingest_csv(path, model_kind: str):
-    """Read a header + numeric rows file into samples and a replay oracle.
+    """Read a header + numeric rows file into an array and a replay oracle.
 
     The header must be a_1,...,a_d,b. Each row becomes one SGD step, in file
-    order. Logistic responses must be -1 or +1. Returns (samples, oracle);
-    the oracle raises ExhaustedData when asked for more rows than the file
-    holds.
+    order. Logistic responses must be -1 or +1. Returns (rows, oracle) with
+    rows of shape (n, d + 1); the oracle raises ExhaustedData when asked for
+    more rows than the file holds.
     """
     if model_kind not in ("linear", "logistic"):
         raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
@@ -131,27 +131,25 @@ def ingest_csv(path, model_kind: str):
             raise ParseError(
                 f"{path}: header must be a_1,...,a_d,b; got {','.join(header)}"
             )
-        samples = []
+        data = array("d")  # row-major values, 8 bytes each
         for row_num, row in enumerate(reader, start=1):
             if len(row) != d + 1:
                 raise ParseError(
                     f"{path}: row {row_num} has {len(row)} fields, expected {d + 1}"
                 )
-            vals = np.empty(d + 1)
             for col, cell in enumerate(row):
                 try:
-                    vals[col] = float(cell)
+                    data.append(float(cell))
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {row_num}, column {col + 1}: "
                         f"could not parse {cell!r} as a number"
                     ) from None
-            b = float(vals[d])
-            if model_kind == "logistic" and b not in (-1.0, 1.0):
+            if model_kind == "logistic" and data[-1] not in (-1.0, 1.0):
                 raise LabelDomainError(
-                    f"{path}: row {row_num}: logistic response must be -1 or +1, got {b}"
+                    f"{path}: row {row_num}: logistic response must be -1 or +1, got {data[-1]}"
                 )
-            samples.append(Sample(a=vals[:d].copy(), b=b))
-    if not samples:
+    if not data:
         raise ParseError(f"{path}: no data rows")
-    return samples, _replay_oracle(samples, model_kind)
+    rows = np.frombuffer(data).reshape(-1, d + 1)
+    return rows, _replay_oracle(rows, model_kind)

@@ -1,10 +1,12 @@
 """Averaged stochastic gradient descent driver.
 
 Runs the recursion X_t = X_{t-1} - gamma_t * G(X_{t-1}, zeta_t) with step
-sizes gamma_t = a * t^{-r} and streams the post-burn-in iterates to an
-observer, so a run of any length needs O(d) memory on top of the observer's
-own state. The step index t is global: burn-in iterations advance the
-schedule, their iterates are simply not delivered.
+sizes gamma_t = a * t^{-r} for R independent chains at once, on (R, d)
+arrays, and accumulates the post-burn-in iterates into batch sums. The step
+index t is global: burn-in iterations advance the schedule, their iterates
+are simply not averaged. `run_chains` is the one stepping loop; a single run
+(`single_run`, `run_sgd`) is its R = 1 case, so a serial run and one chain
+of a replicated study agree, and fail the same way, by construction.
 """
 
 from __future__ import annotations
@@ -37,15 +39,24 @@ class StepSchedule:
 
 @dataclass
 class GradientOracle:
-    """Source of unbiased stochastic gradients.
+    """Source of unbiased stochastic gradients, batched over chains.
 
-    ``next_gradient(x, stream)`` must return a length-``dim`` vector whose
-    conditional mean given x is the true gradient of the target loss. Noise
-    moment conditions are the caller's responsibility and are not checked.
+    ``draw(gen, n)`` returns one chain's inputs for its next n steps, shape
+    (n, k), from that chain's generator; one call for n steps must return
+    what n calls for one step would. ``gradient(X, inputs)`` maps iterates
+    (R, d) and one step's inputs (R, k) to gradients (R, d), and must be a
+    pure function of its arguments. The conditional mean of a gradient
+    given x must be the true gradient of the target loss; noise moment
+    conditions are the caller's responsibility and are not checked.
     """
 
     dim: int
-    next_gradient: Callable[[np.ndarray, RandomStream], np.ndarray]
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def next_gradient(self, x, stream: RandomStream) -> np.ndarray:
+        """One step's gradient at x, shape (dim,), drawing from stream."""
+        return self.gradient(np.asarray(x, dtype=float)[None], self.draw(stream.gen, 1))[0]
 
 
 @dataclass
@@ -62,41 +73,103 @@ class SgdRunConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
-def run_sgd(
-    oracle: GradientOracle,
-    config: SgdRunConfig,
-    stream: RandomStream,
-    observer: Optional[Callable[[np.ndarray], None]] = None,
-) -> np.ndarray:
+def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, boundaries,
+               observer: Optional[Callable[[np.ndarray], None]] = None):
+    """Advance len(gens) independent chains and return their batch means.
+
+    boundaries is any integer array 0 = tau_0 < ... < tau_m = config.T;
+    returns (xi, xbar) with xi of shape (m, R, d) and xbar of shape (R, d).
+    Every chain starts at config.x0 (zero if None); chain j draws its inputs
+    from gens[j] in blocks. observer, if given, receives the (R, d) iterates
+    of every step after burn-in. A chain that leaves the finite range raises
+    NonFiniteIterate with its global step index and its index (the lowest,
+    if several leave at that step) as the replication. The check runs once
+    per block, so observer may have received the iterates of the block in
+    which a chain diverged.
+    """
+    R, d = len(gens), oracle.dim
+    T, burn = config.T, config.burn_in
+    bounds = np.asarray(boundaries, dtype=np.int64)
+    if bounds[0] != 0 or bounds[-1] != T:
+        raise ValueError(f"batch boundaries must run from 0 to T={T}")
+    x0 = np.zeros(d) if config.x0 is None else np.asarray(config.x0, dtype=float)
+    if x0.shape != (d,):
+        raise OracleDimensionMismatch(f"x0 has shape {x0.shape}, oracle dimension is {d}")
+    x = np.tile(x0, (R, 1))
+    step_batch = np.searchsorted(bounds, np.arange(T), side="right") - 1
+    sums = np.zeros((len(bounds) - 1, R, d))
+    total = burn + T
+    chunk = max(64, min(4096, (1 << 21) // max(1, R * (d + 1))))
+    inputs = None  # (chunk, R, k), allocated once the first block shows k
+    a_sched, r_sched = config.schedule.a, config.schedule.r
+
+    def advance(x, step_inputs, tt):
+        g = oracle.gradient(x, step_inputs)
+        if g.shape != x.shape:
+            raise OracleDimensionMismatch(f"oracle returned shape {g.shape}, expected {x.shape}")
+        return x - (a_sched * tt ** (-r_sched)) * g
+
+    # Overflow on the way to NonFiniteIterate is expected; the exception is
+    # the one signal a diverging chain gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 0
+        while t < total:
+            c = min(chunk, total - t)
+            for j, gen in enumerate(gens):
+                block = oracle.draw(gen, c)
+                if inputs is None:
+                    inputs = np.empty((chunk, R) + block.shape[1:])
+                inputs[:c, j] = block
+            x_start = x
+            for s in range(c):
+                tt = t + s + 1
+                x = advance(x, inputs[s], tt)
+                k = tt - burn - 1
+                if k >= 0:
+                    sums[step_batch[k]] += x
+                    if observer is not None:
+                        observer(x)
+            if not np.isfinite(x).all():
+                # A non-finite coordinate never turns finite again, so one check
+                # per block sees every divergence; replay the block to find it.
+                x = x_start
+                for s in range(c):
+                    x = advance(x, inputs[s], t + s + 1)
+                    bad = ~np.isfinite(x).all(axis=1)
+                    if bad.any():
+                        raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
+            t += c
+    xi = sums / np.diff(bounds).astype(float)[:, None, None]
+    xbar = sums.sum(axis=0) / float(T)
+    return xi, xbar
+
+
+def single_run(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
+               boundaries, observer: Optional[Callable[[np.ndarray], None]] = None):
+    """run_chains on one stream: xi (m, d) and xbar (d,); a divergence
+    raises NonFiniteIterate with replication None."""
+    try:
+        xi, xbar = run_chains(oracle, config, [stream.gen], boundaries, observer)
+    except NonFiniteIterate as e:
+        raise NonFiniteIterate(e.t) from None
+    return xi[:, 0], xbar[0]
+
+
+def run_sgd(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
+            observer: Optional[Callable[[np.ndarray], None]] = None) -> np.ndarray:
     """Run burn_in + T steps, delivering the last T iterates to observer.
 
     Returns the final iterate. A NaN or infinite coordinate aborts the run
-    with NonFiniteIterate carrying the offending global step index.
+    with NonFiniteIterate carrying the offending global step index; the
+    observer may already have received the iterates of the block of steps
+    in which the run diverged.
     """
-    d = oracle.dim
-    if config.x0 is None:
-        x = np.zeros(d)
-    else:
-        x = np.asarray(config.x0, dtype=float)
-        if x.shape != (d,):
-            raise OracleDimensionMismatch(
-                f"x0 has shape {x.shape}, oracle dimension is {d}"
-            )
-        x = x.copy()
-    a, r = config.schedule.a, config.schedule.r
-    burn = config.burn_in
-    # A diverging run overflows on its way to NonFiniteIterate, which is
-    # the one signal it gives; numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, burn + config.T + 1):
-            g = np.asarray(oracle.next_gradient(x, stream), dtype=float)
-            if g.shape != (d,):
-                raise OracleDimensionMismatch(
-                    f"oracle returned shape {g.shape}, expected ({d},)"
-                )
-            x = x - (a * t ** (-r)) * g
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteIterate(t)
-            if observer is not None and t > burn:
-                observer(x)
-    return x
+    last = [None]
+
+    def see(x):
+        last[0] = x[0]
+        if observer is not None:
+            observer(x[0])
+
+    single_run(oracle, config, stream, [0, config.T], see)
+    return last[0]

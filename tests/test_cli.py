@@ -274,3 +274,14 @@ class TestExperimentCommands:
         status = {r["method"]: r["status"] for r in rows}
         assert status["bm_joint"] == "failed"
         assert status["bmi_marginal"] == "ok"
+
+    @pytest.mark.parametrize("study", [
+        ["coverage", "--method", "bm_marginal", "--cal-reps", "10000", "--no-cache"],
+        ["detcov"],
+    ])
+    def test_negative_burn_in_is_domain_error(self, study, capsys):
+        rc = main(["experiment", study[0], "--model", "linear", "--d", "1",
+                   "--T", "400", "--m", "8", "--reps", "3", "--burn-in", "-5",
+                   *study[1:]])
+        assert rc == 1
+        assert "ValueError" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from sgdci.experiments import (
     METHODS,
     CoverageConfig,
     FailedCell,
-    _run_chains,
     run_comparison,
     run_coverage,
     run_det_study,
@@ -26,7 +25,7 @@ from sgdci.experiments import (
 from sgdci.inference import build_region, contains, marginal_intervals
 from sgdci.linalg import quad_form_inv
 from sgdci.models import linear_oracle, linspace_params, logistic_oracle
-from sgdci.sgd import SgdRunConfig, StepSchedule, run_sgd
+from sgdci.sgd import SgdRunConfig, StepSchedule, run_chains, run_sgd
 from sgdci.streams import derive_stream
 
 
@@ -56,8 +55,8 @@ class TestChainEngine:
         xi_ref, xbar_ref, plan = _serial_batch_stats(model, d, T, m, 0, seeds)
         params = linspace_params(d)
         gens = [derive_stream(*s).gen for s in seeds]
-        xi, xbar = _run_chains(model, params.x_star, StepSchedule(), 0, T,
-                               plan.boundaries, gens)
+        factory = linear_oracle if model == "linear" else logistic_oracle
+        xi, xbar = run_chains(factory(params), SgdRunConfig(T=T), gens, plan.boundaries)
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
         assert np.allclose(xbar, xbar_ref, rtol=0, atol=1e-12)
 
@@ -67,8 +66,8 @@ class TestChainEngine:
         xi_ref, xbar_ref, plan = _serial_batch_stats("linear", d, T, m, burn, seeds)
         params = linspace_params(d)
         gens = [derive_stream(*s).gen for s in seeds]
-        xi, xbar = _run_chains("linear", params.x_star, StepSchedule(), burn, T,
-                               plan.boundaries, gens)
+        xi, xbar = run_chains(linear_oracle(params), SgdRunConfig(T=T, burn_in=burn), gens,
+                              plan.boundaries)
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
         assert np.allclose(xbar, xbar_ref, rtol=0, atol=1e-12)
 
@@ -260,6 +259,43 @@ class TestDivergence:
             if not method.startswith("sectioning"):
                 assert isinstance(r, FailedCell) and r.method == method
                 assert r.error.startswith("NonFiniteIterate")
+
+
+class TestSharedRules:
+    """The replicated studies and the single-run API reject the same inputs."""
+
+    def _coverage(self, **over):
+        base = dict(model="linear", d=1, T=400, method="bm_marginal", m=8,
+                    alloc=Allocation(kind="ibs"), replications=3, base_seed=0,
+                    cal_reps=10000)
+        base.update(over)
+        return run_coverage(CoverageConfig(**base))
+
+    def test_bmi_short_run_raises_the_same_error(self):
+        with pytest.raises(ValueError) as single:
+            bmi_infer(linear_oracle(linspace_params(1)), 12, 0.05, derive_stream(0))
+        with pytest.raises(ValueError) as replicated:
+            self._coverage(method="bmi_joint", T=12)
+        assert str(replicated.value) == str(single.value)
+
+    @pytest.mark.parametrize("m, T", [(1, 400), (50, 30)])
+    def test_sectioning_rules_raise_the_same_error(self, m, T):
+        with pytest.raises(Exception) as single:
+            sectioning_infer(lambda j: linear_oracle(linspace_params(1)), m, T,
+                             StepSchedule(), 0.05, 0)
+        with pytest.raises(Exception) as replicated:
+            self._coverage(method="sectioning_marginal", m=m, T=T)
+        assert type(replicated.value) is type(single.value)
+        assert str(replicated.value) == str(single.value)
+
+    @pytest.mark.parametrize("method", ["bm_marginal", "sectioning_marginal", "bmi_marginal"])
+    def test_coverage_rejects_negative_burn_in(self, method):
+        with pytest.raises(ValueError, match="burn_in"):
+            self._coverage(method=method, burn_in=-5)
+
+    def test_det_study_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            run_det_study(d=2, m=5, T=400, model="linear", R=3, base_seed=0, burn_in=-5)
 
 
 class TestVolumeStudy:

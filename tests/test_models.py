@@ -103,8 +103,8 @@ class TestIngestCsv:
 
     def test_linear_roundtrip(self, tmp_path):
         p = self._write(tmp_path, "a_1,a_2,b\n1.0,0.0,2.0\n0.0,1.0,-1.0\n")
-        samples, oracle = ingest_csv(p, "linear")
-        assert len(samples) == 2
+        rows, oracle = ingest_csv(p, "linear")
+        assert len(rows) == 2
         assert oracle.dim == 2
         g = oracle.next_gradient(np.zeros(2), derive_stream(0))
         assert np.allclose(g, [-4.0, 0.0])
@@ -120,9 +120,9 @@ class TestIngestCsv:
 
     def test_single_covariate_header(self, tmp_path):
         p = self._write(tmp_path, "a_1,b\n1.0,2.0\n")
-        samples, oracle = ingest_csv(p, "linear")
+        rows, oracle = ingest_csv(p, "linear")
         assert oracle.dim == 1
-        assert samples[0].b == 2.0
+        assert rows[0, -1] == 2.0
 
     def test_wrong_header(self, tmp_path):
         p = self._write(tmp_path, "x,y\n1.0,2.0\n")
@@ -148,8 +148,8 @@ class TestIngestCsv:
 
     def test_logistic_accepts_plus_minus_one(self, tmp_path):
         p = self._write(tmp_path, "a_1,b\n1.0,1.0\n2.0,-1.0\n")
-        samples, _ = ingest_csv(p, "logistic")
-        assert [s.b for s in samples] == [1.0, -1.0]
+        rows, _ = ingest_csv(p, "logistic")
+        assert rows[:, -1].tolist() == [1.0, -1.0]
 
     def test_empty_file(self, tmp_path):
         p = self._write(tmp_path, "")

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit, ndtr
 
 from sgdci.batching import Allocation, accumulate, make_plan
 from sgdci.errors import NonFiniteIterate, OracleDimensionMismatch
-from sgdci.models import linear_oracle, linspace_params
-from sgdci.sgd import GradientOracle, SgdRunConfig, StepSchedule, run_sgd
+from sgdci.models import linear_oracle, linspace_params, logistic_oracle
+from sgdci.sgd import GradientOracle, SgdRunConfig, StepSchedule, run_chains, run_sgd
 from sgdci.streams import derive_stream
 
 
@@ -27,13 +28,14 @@ def test_schedule_defaults():
     assert s.r == pytest.approx(2.0 / 3.0)
 
 
+def _no_inputs(gen, n):
+    return np.empty((n, 0))
+
+
 def _noiseless(x_star):
     x_star = np.asarray(x_star, dtype=float)
-
-    def next_gradient(x, stream):
-        return x - x_star
-
-    return GradientOracle(dim=x_star.shape[0], next_gradient=next_gradient)
+    return GradientOracle(dim=x_star.shape[0], draw=_no_inputs,
+                          gradient=lambda x, inputs: x - x_star)
 
 
 def test_fixed_point_stays_put():
@@ -96,7 +98,8 @@ def test_run_is_deterministic_under_lineage():
 
 
 def test_oracle_shape_mismatch_detected():
-    bad = GradientOracle(dim=2, next_gradient=lambda x, s: np.zeros(3))
+    bad = GradientOracle(dim=2, draw=_no_inputs,
+                         gradient=lambda x, inputs: np.zeros((len(x), 3)))
     with pytest.raises(OracleDimensionMismatch):
         run_sgd(bad, SgdRunConfig(T=1), derive_stream(0))
 
@@ -111,12 +114,12 @@ def test_x0_shape_mismatch_detected():
 
 
 def test_nonfinite_iterate_reports_step_index():
-    def explode(x, stream):
-        return np.array([np.inf])
+    def explode(x, inputs):
+        return np.full(x.shape, np.inf)
 
     with pytest.raises(NonFiniteIterate) as exc:
         run_sgd(
-            GradientOracle(dim=1, next_gradient=explode),
+            GradientOracle(dim=1, draw=_no_inputs, gradient=explode),
             SgdRunConfig(T=5),
             derive_stream(0),
         )
@@ -141,3 +144,52 @@ def test_averaged_iterate_lands_near_target():
     )
     summary = acc.finalize()
     assert float(np.linalg.norm(summary.xbar - params.x_star)) < 0.05
+
+
+def _reference_batch_means(model, x_star, cfg, boundaries, stream):
+    """A plain per-step loop, independent of the package's driver and
+    gradients: one standard_normal(d + 1) draw per step, batch sums by hand."""
+    d, ends = len(x_star), boundaries[1:]
+    x = np.array(cfg.x0, dtype=float)
+    sums, k = np.zeros((len(ends), d)), 0
+    for t in range(1, cfg.burn_in + cfg.T + 1):
+        z = stream.gen.standard_normal(d + 1)
+        a = z[:d]
+        if model == "linear":
+            g = -2.0 * (a @ x_star + z[d] - a @ x) * a
+        else:
+            b = 1.0 if ndtr(z[d]) < expit(a @ x_star) else -1.0
+            g = -b * expit(-b * (a @ x)) * a
+        x = x - (cfg.schedule.a * t ** (-cfg.schedule.r)) * g
+        if t > cfg.burn_in:
+            k += t - cfg.burn_in > ends[k]
+            sums[k] += x
+    return sums / np.diff(boundaries)[:, None], sums.sum(axis=0) / cfg.T
+
+
+class TestDriverReference:
+    plan = make_plan(500, 6, Allocation(kind="ibs"))
+
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    def test_chains_match_a_plain_loop(self, model):
+        params = linspace_params(2)
+        oracle = (linear_oracle if model == "linear" else logistic_oracle)(params)
+        cfg = SgdRunConfig(T=self.plan.T, burn_in=23, x0=np.array([0.3, -0.4]))
+        lineages = [(61, j) for j in range(3)]
+        xi, xbar = run_chains(oracle, cfg, [derive_stream(*s).gen for s in lineages],
+                              self.plan.boundaries)
+        for j, s in enumerate(lineages):
+            xi_ref, xbar_ref = _reference_batch_means(
+                model, params.x_star, cfg, self.plan.boundaries, derive_stream(*s))
+            assert np.allclose(xi[:, j], xi_ref, rtol=0, atol=1e-12)
+            assert np.allclose(xbar[j], xbar_ref, rtol=0, atol=1e-12)
+
+    def test_one_chain_equals_run_sgd_with_accumulator(self):
+        oracle = logistic_oracle(linspace_params(3))
+        cfg = SgdRunConfig(T=self.plan.T, burn_in=7)
+        xi, xbar = run_chains(oracle, cfg, [derive_stream(62).gen], self.plan.boundaries)
+        acc = accumulate(self.plan, 3)
+        run_sgd(oracle, cfg, derive_stream(62), acc.feed)
+        summary = acc.finalize()
+        assert np.array_equal(xi[:, 0], summary.xi)
+        assert np.array_equal(xbar[0], summary.xbar)
