@@ -14,9 +14,9 @@ thread, not of memory: _gram_blocks walks a chunk, and the determinant
 pass of the volume factor, in blocks of about 4 MB of normals, reducing
 each block to its Gram matrices in place while it is in cache, so a worker
 holds one block at a time whatever the chunk size or thread count. The
-per-draw route below (simulate_limit_draw) uses the package's own
-factorization and serves as the reference the batched path is tested
-against.
+per-draw route below (simulate_limit_draw) decides through linalg's one
+positive-definiteness rule and serves as the reference the batched path is
+tested against.
 
 With even weights the limit is the F(d, m-d) distribution rescaled, which
 provides an exact cross-check: f_quantile here is computed independently

@@ -10,7 +10,8 @@ class DimensionMismatch(SgdciError):
 
 
 class NotPositiveDefinite(SgdciError):
-    """Cholesky factorization hit a nonpositive pivot."""
+    """A pivot of the Cholesky factorization was <= 1e-12 times the largest
+    diagonal entry, or that entry was not finite and positive."""
 
 
 class InvalidBatchCount(SgdciError):

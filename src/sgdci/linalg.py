@@ -1,19 +1,27 @@
 """Dense linear algebra for small symmetric systems.
 
 Everything here operates on explicitly stored d x d symmetric matrices with
-d small (hundreds at most). The factorization is written out rather than
-delegated so that the positive-definiteness decision applies one fixed pivot
-rule: a pivot is accepted only if it exceeds 1e-12 times the largest diagonal
-entry of the input. The factorization pivots on the largest remaining
-diagonal of the Schur complement, which makes the rule rank-revealing: a
-singular matrix concentrates its null directions in the trailing pivots
-instead of smearing them across several columns, so genuine rank deficiency
-(batch-means covariances with m <= d are singular by construction) is
-separated from harmless round-off. The degeneracy studies depend on that
-separation.
+d small (hundreds at most). One rule decides positive definiteness, stated
+once in cholesky: the largest diagonal entry must be finite and positive,
+and LAPACK's pivoted Cholesky dpstrf, stopped at the first pivot <= 1e-12
+times that entry (Hammarling, Higham and Lucas 2007), must reach full rank.
+dpstrf pivots on the largest remaining diagonal of the Schur complement,
+which makes the rule rank-revealing: a singular matrix concentrates its
+null directions in the trailing pivots instead of smearing them across
+several columns, so genuine rank deficiency (batch-means covariances with
+m <= d are singular by construction) is separated from harmless round-off.
+The degeneracy studies depend on that separation.
+
+The batched routes elsewhere (np.linalg.solve in calibration._eval_chunk,
+slogdet in inference.expected_volume_factor, the d = 1 closed form) serve
+only limit laws with m > d, where a singular matrix has probability zero.
+A failed solve falls back to quad_form_inv, and so to this rule; slogdet
+maps a nonpositive sign to a zero determinant.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +55,7 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
+@dataclass(frozen=True)
 class CholFactor:
     """Pivoted Cholesky factor: S[perm[i], perm[j]] == (L @ L.T)[i, j].
 
@@ -55,69 +64,45 @@ class CholFactor:
     product of the diagonal regardless of the permutation.
     """
 
-    __slots__ = ("lower", "perm")
-
-    def __init__(self, lower: np.ndarray, perm=None):
-        self.lower = lower
-        self.perm = np.arange(lower.shape[0]) if perm is None else perm
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
+    lower: np.ndarray
+    perm: np.ndarray
 
 
 def cholesky(S: SymMatrix) -> CholFactor:
     """Factor S with diagonal pivoting, failing on any pivot <= tolerance.
 
-    Each step pivots on the largest remaining Schur-complement diagonal and
-    accepts it only above 1e-12 * max initial diagonal. Raises
-    NotPositiveDefinite when the rule rejects a column; callers treat that
-    as the degenerate-covariance signal.
+    The largest diagonal entry must be finite and positive, and dpstrf with
+    tol = 1e-12 * that entry must return full rank. Raises
+    NotPositiveDefinite otherwise; callers treat that as the
+    degenerate-covariance signal.
     """
-    a = S.entries
-    d = S.dim
-    maxdiag = float(np.max(np.diag(a)))
-    if maxdiag <= 0.0:
-        raise NotPositiveDefinite("matrix has no positive diagonal entry")
+    # imported here: scipy.linalg adds about 0.1 s to every CLI start
+    from scipy.linalg.lapack import dpstrf
+
+    maxdiag = float(np.max(np.diag(S.entries)))
+    if not 0.0 < maxdiag < np.inf:
+        raise NotPositiveDefinite(
+            f"largest diagonal entry {maxdiag!r} is not finite and positive"
+        )
     tol = PIVOT_RTOL * maxdiag
-    perm = np.arange(d)
-    sdiag = np.diag(a).astype(float).copy()  # Schur diagonal, permuted order
-    L = np.zeros((d, d))
-    for j in range(d):
-        k = j + int(np.argmax(sdiag[j:]))
-        pivot = float(sdiag[k])
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} below tolerance {tol:.3e}"
-            )
-        if k != j:
-            perm[[j, k]] = perm[[k, j]]
-            sdiag[[j, k]] = sdiag[[k, j]]
-            L[[j, k], :j] = L[[k, j], :j]
-        ljj = np.sqrt(pivot)
-        L[j, j] = ljj
-        if j + 1 < d:
-            rows = perm[j + 1 :]
-            col = (a[rows, perm[j]] - L[j + 1 :, :j] @ L[j, :j]) / ljj
-            L[j + 1 :, j] = col
-            sdiag[j + 1 :] -= col * col
-    return CholFactor(L, perm)
+    c, piv, rank, _ = dpstrf(S.entries, tol=tol, lower=1)
+    if rank < S.dim:
+        raise NotPositiveDefinite(f"pivot at column {rank} not above tolerance {tol:.3e}")
+    return CholFactor(np.tril(c), piv - 1)
 
 
 def quad_form_inv(S: SymMatrix, v) -> float:
-    """Return v^T S^{-1} v through one triangular solve of the factor."""
+    """Return v^T S^{-1} v = ||L^{-1} v[perm]||^2, one triangular solve."""
+    # imported here: scipy.linalg adds about 0.1 s to every CLI start
+    from scipy.linalg.lapack import dtrtrs
+
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] != S.dim:
         raise DimensionMismatch(
             f"vector of length {v.shape} against matrix of dim {S.dim}"
         )
     f = cholesky(S)
-    L = f.lower
-    vp = v[f.perm]
-    # v^T S^{-1} v = || L^{-1} (P^T v) ||^2, forward substitution
-    y = np.zeros_like(vp)
-    for i in range(S.dim):
-        y[i] = (vp[i] - L[i, :i] @ y[:i]) / L[i, i]
+    y, _ = dtrtrs(f.lower, v[f.perm], lower=1)
     return float(y @ y)
 
 

@@ -203,6 +203,36 @@ class TestEstimateAlpha:
         assert np.array_equal(one_block[0], many_blocks[0])
         assert one_block[1:] == many_blocks[1:]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_draw_is_rescued(self, d, monkeypatch):
+        # a zero G in the first block: inf at d = 1; at d = 2 the batched
+        # solve fails, the block goes draw by draw through quad_form_inv and
+        # the zero G raises NotPositiveDefinite. Either way the draw is
+        # replaced from the rescue stream.
+        spec = even_spec(d, d + 9)
+        n, k, seed, bad = 300, 3, 8, 5
+        monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
+        clean = _eval_chunk(spec, n, k, seed)
+        gram_blocks = calibration._gram_blocks
+
+        def zero_one_draw(*args, **kwargs):
+            for b, (G, Z) in enumerate(gram_blocks(*args, **kwargs)):
+                if b == 0:
+                    G[bad] = 0.0
+                yield G, Z
+
+        monkeypatch.setattr(calibration, "_gram_blocks", zero_one_draw)
+        stats = _eval_chunk(spec, n, k, seed)
+        assert np.all(np.isfinite(stats))
+        assert stats[bad] == simulate_limit_draw(spec, derive_stream(seed, 2**32 + k))
+        others = np.arange(n) != bad
+        if d == 1:
+            assert np.array_equal(stats[others], clean[others])
+        else:
+            # the first block's other draws took the per-draw factorization
+            assert np.array_equal(stats[16:], clean[16:])
+            assert np.allclose(stats[others], clean[others], rtol=1e-12, atol=0.0)
+
     def test_chunk_memory_is_one_block(self):
         spec = even_spec(5, 100)
         tracemalloc.start()

@@ -25,13 +25,15 @@ def _write_linear_csv(path, n=400, d=2, seed=3):
             fh.write(",".join(f"{v:.10g}" for v in a) + f",{b:.10g}\n")
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; every CLI call would pay it
+def test_import_leaves_scipy_stats_and_linalg_unloaded():
+    # scipy.stats takes most of a second to import and scipy.linalg about
+    # 0.1 s; every CLI call would pay them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, sgdci.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, sgdci.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_help_exits_zero():

@@ -62,6 +62,33 @@ def test_cholesky_rejects_rank_deficient():
         cholesky(SymMatrix([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]],
+    ids=["nan", "inf", "nan_off_diagonal"],
+)
+def test_cholesky_rejects_non_finite(entries):
+    # LAPACK alone would accept [[inf]]; the finite-diagonal guard rejects it
+    S = SymMatrix(entries)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(S)
+    with pytest.raises(NotPositiveDefinite):
+        quad_form_inv(S, np.ones(S.dim))
+    assert det_sqrt(S) == 0.0
+
+
+@pytest.mark.parametrize(
+    "diagonal, positive_definite",
+    [((1.0, 2e-12), True), ((1.0, 1e-12), False), ((1.0, 5e-13), False),
+     ((3e-12, 2.0, 1.0), True)],
+)
+def test_pivot_tolerance_boundary(diagonal, positive_definite):
+    # a pivot equal to 1e-12 * max diagonal is rejected, and the tolerance
+    # scales with the largest diagonal entry (2 in the last case), not the trace
+    S = SymMatrix(np.diag(diagonal))
+    assert (det_sqrt(S) > 0.0) is positive_definite
+
+
 def test_symmatrix_symmetrizes_exactly():
     S = SymMatrix([[1.0, 2.0], [4.0, 1.0]])
     assert S.entries[0, 1] == S.entries[1, 0] == 3.0
@@ -97,7 +124,9 @@ def test_quad_form_nonnegative(d):
     S = SymMatrix(A @ A.T + 0.1 * np.eye(d))
     for _ in range(20):
         v = RNG.standard_normal(d)
-        assert quad_form_inv(S, v) >= 0.0
+        q = quad_form_inv(S, v)
+        assert q >= 0.0
+        assert q == pytest.approx(v @ np.linalg.solve(S.entries, v), rel=1e-10)
 
 
 def test_quad_form_dimension_mismatch():
