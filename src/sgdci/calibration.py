@@ -25,10 +25,12 @@ by bisection on the regularized incomplete beta function.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
 import os
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -237,20 +239,24 @@ class QuantileCache:
 
     Keys carry KERNEL_ROUTE, so a record made by another draw route (or
     stored before routes were versioned) is a miss, recomputed and stored
-    under the current route; such records are dropped on load. Writes go
-    through a temporary file and an atomic rename, so a crashed run never
-    leaves a truncated cache behind.
+    under the current route; such records are dropped on load. A write
+    holds an exclusive lock on ``path + ".lock"``, merges the records other
+    processes have stored since this one loaded, and goes through a private
+    temporary file and an atomic rename, so concurrent writers keep each
+    other's records and a crashed run never leaves a truncated cache behind.
     """
 
     _PREFIX = f"route={KERNEL_ROUTE}|"
 
     def __init__(self, path):
         self.path = str(path)
-        self._records = {}
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                self._records = {k: v for k, v in json.load(fh).items()
-                                 if k.startswith(self._PREFIX)}
+        self._records = self._load()
+
+    def _load(self) -> dict:
+        if not os.path.exists(self.path):
+            return {}
+        with open(self.path, "r", encoding="utf-8") as fh:
+            return {k: v for k, v in json.load(fh).items() if k.startswith(self._PREFIX)}
 
     @staticmethod
     def _key_str(key: tuple) -> str:
@@ -284,10 +290,20 @@ class QuantileCache:
             "ci_low": sq.ci_low,
             "ci_high": sq.ci_high,
         }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._records, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            self._records = {**self._load(), **self._records}
+            mode = os.stat(self.path).st_mode & 0o777 if os.path.exists(self.path) else 0o644
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(self.path) + ".",
+                                       dir=os.path.dirname(os.path.abspath(self.path)))
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(self._records, fh, indent=1, sort_keys=True)
+                os.chmod(tmp, mode)
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
 
 def estimate_alpha(

@@ -5,10 +5,14 @@ else, so reports are reproducible and independent of scheduling. The SGD
 recursions of all replications advance together through `sgd.run_chains`,
 the same driver a single run uses at R = 1, so each replication's iterates
 are those of a serial run on its stream by construction, while desk-scale
-tables stay in the seconds-to-minutes range.
+tables stay in the seconds-to-minutes range. A comparison steps each chain
+set once and scores every method on it: the bm and BMI cells share one set
+of R long chains, batched under both plans in the same pass, and the two
+sectioning cells share one set of section chains.
 
 Every report embeds its full configuration. Wall-clock time is recorded for
-convenience but is the one field outside the determinism contract.
+convenience but is the one field outside the determinism contract; cells
+that share a trajectory each count its full stepping time.
 """
 
 from __future__ import annotations
@@ -59,14 +63,15 @@ METHODS = (
 )
 
 
-def _replicate(oracle, config: SgdRunConfig, plan: BatchPlan, R: int,
-               base_seed: int) -> list:
-    """One BatchMeansSummary per chain; chain r runs on stream (base_seed, r)."""
+def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int) -> list:
+    """Step R chains once, chain r on stream (base_seed, r); one list of
+    BatchMeansSummary per plan, one summary per chain."""
     gens = [derive_stream(base_seed, rep).gen for rep in range(R)]
-    xi, xbar = run_chains(oracle, config, gens, plan.boundaries)
     return [
-        BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
-        for r in range(R)
+        [BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
+         for r in range(R)]
+        for plan, (xi, xbar) in zip(
+            plans, run_chains(oracle, config, gens, [p.boundaries for p in plans]))
     ]
 
 
@@ -108,6 +113,8 @@ class CoverageReport:
     half_width: float
     alpha_used: Optional[float]
     replication_log: list
+    # seconds to step and score this cell; cells of one run_comparison call
+    # that share a trajectory each include its full stepping time
     wall_time: float
 
     def signature(self) -> tuple:
@@ -123,56 +130,56 @@ class CoverageReport:
         )
 
 
-def run_coverage(
-    config: CoverageConfig,
-    cache: Optional[QuantileCache] = None,
-    threads: int = 1,
-) -> CoverageReport:
-    """Estimate the coverage rate of one method under one configuration.
+def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
+    """The batch plan a cell scores; a sectioning plan has one batch per section."""
+    if cfg.method.startswith("sectioning"):
+        return _section_plan(cfg.m, cfg.T)
+    if cfg.method.startswith("bmi"):
+        alloc_r = cfg.alloc.r if cfg.alloc.kind in ("ibs", "dbs") else 2.0 / 3.0
+        return _bmi_plan(cfg.T, alloc_r)
+    return make_plan(cfg.T, cfg.m, cfg.alloc)
 
-    Each replication's region or intervals come from the single-run calls
-    (build_region, marginal_intervals, bmi_from_stats) on its batch means.
-    Degenerate replications (numerically rank-deficient covariance) are a
-    third outcome, counted separately from hits and misses; the run aborts
-    if they exceed one percent of replications. Marginal methods record the
-    average coverage across the d coordinates of each replication. A
-    diverging chain raises NonFiniteIterate.
+
+def _trajectory(cfg: CoverageConfig, plans) -> list:
+    """Step the chain set of cfg's method once; one summary list per plan.
+
+    bm and BMI cells run R chains of T steps, chain r on stream
+    (base_seed, r), and every plan over [0, T] batches the same iterates.
+    Sectioning runs R * m chains of T // m steps, section j of replication r
+    on stream (base_seed, r, j); its one plan has a batch per section.
     """
+    R, d = cfg.replications, cfg.d
+    oracle = ORACLES[cfg.model](linspace_params(d))
+    if not cfg.method.startswith("sectioning"):
+        sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
+        return _replicate(oracle, sgd_cfg, plans, R, cfg.base_seed)
+    (plan,) = plans
+    sections = plan.m
+    sec_T = plan.T // sections
+    gens = [
+        derive_stream(cfg.base_seed, rep, j).gen
+        for rep in range(R)
+        for j in range(sections)
+    ]
+    try:
+        sgd_cfg = SgdRunConfig(T=sec_T, burn_in=cfg.burn_in, schedule=cfg.schedule)
+        ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sec_T]])
+    except NonFiniteIterate as e:
+        raise NonFiniteIterate(e.t, replication=e.replication // sections) from None
+    return [[
+        BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
+        for mu in chain_means.reshape(R, sections, d)
+    ]]
+
+
+def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
+           stepping_s: float) -> CoverageReport:
+    """Score one cell's replications; wall_time adds stepping_s to its own."""
     t0 = time.perf_counter()
-    cfg = config
-    params = linspace_params(cfg.d)
-    x_star = params.x_star
+    x_star = linspace_params(cfg.d).x_star
     R = cfg.replications
     d = cfg.d
     mth = cfg.method
-    oracle = ORACLES[cfg.model](params)
-    if mth.startswith("sectioning"):
-        sections = cfg.m
-        plan = _section_plan(sections, cfg.T)
-        sec_T = plan.T // sections
-        gens = [
-            derive_stream(cfg.base_seed, rep, j).gen
-            for rep in range(R)
-            for j in range(sections)
-        ]
-        try:
-            sgd_cfg = SgdRunConfig(T=sec_T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-            _, chain_means = run_chains(oracle, sgd_cfg, gens, [0, sec_T])
-        except NonFiniteIterate as e:
-            raise NonFiniteIterate(e.t, replication=e.replication // sections) from None
-        summaries = [
-            BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
-            for mu in chain_means.reshape(R, sections, d)
-        ]
-    else:
-        if mth.startswith("bmi"):
-            alloc_r = cfg.alloc.r if cfg.alloc.kind in ("ibs", "dbs") else 2.0 / 3.0
-            plan = _bmi_plan(cfg.T, alloc_r)
-        else:
-            plan = make_plan(cfg.T, cfg.m, cfg.alloc)
-        sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-        summaries = _replicate(oracle, sgd_cfg, plan, R, cfg.base_seed)
-
     joint = mth.endswith("joint")
     alpha = None
     if mth.startswith("bm_"):
@@ -226,8 +233,29 @@ def run_coverage(
         half_width=half_width,
         alpha_used=None if alpha is None else alpha.alpha_hat,
         replication_log=log,
-        wall_time=time.perf_counter() - t0,
+        wall_time=stepping_s + time.perf_counter() - t0,
     )
+
+
+def run_coverage(
+    config: CoverageConfig,
+    cache: Optional[QuantileCache] = None,
+    threads: int = 1,
+) -> CoverageReport:
+    """Estimate the coverage rate of one method under one configuration.
+
+    Each replication's region or intervals come from the single-run calls
+    (build_region, marginal_intervals, bmi_from_stats) on its batch means.
+    Degenerate replications (numerically rank-deficient covariance) are a
+    third outcome, counted separately from hits and misses; the run aborts
+    if they exceed one percent of replications. Marginal methods record the
+    average coverage across the d coordinates of each replication. A
+    diverging chain raises NonFiniteIterate.
+    """
+    t0 = time.perf_counter()
+    plan = _cell_plan(config)
+    (summaries,) = _trajectory(config, [plan])
+    return _score(config, plan, summaries, cache, threads, time.perf_counter() - t0)
 
 
 @dataclass
@@ -296,7 +324,8 @@ def run_det_study(
     """
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
     config = SgdRunConfig(T=T, burn_in=burn_in, schedule=schedule or StepSchedule())
-    summaries = _replicate(ORACLES[model](linspace_params(d)), config, plan, R, base_seed)
+    (summaries,) = _replicate(ORACLES[model](linspace_params(d)), config, [plan], R,
+                              base_seed)
     return np.array(
         [det_sqrt(SymMatrix(float(T) * sample_cov(s).entries)) ** 2 for s in summaries]
     )
@@ -306,6 +335,40 @@ def run_det_study(
 class FailedCell:
     method: str
     error: str
+
+
+def _failed(method: str, e: Exception) -> FailedCell:
+    return FailedCell(method=method, error=f"{type(e).__name__}: {e}")
+
+
+def _family(method: str) -> str:
+    """bm, bmi or sectioning: the cells of one family share a batch plan."""
+    return method.rsplit("_", 1)[0]
+
+
+def _shared_cells(cells: dict, plans: dict, cache, threads) -> dict:
+    """Step the chain set that cells (method -> config) share once and score
+    each cell on it; returns method -> CoverageReport or FailedCell.
+
+    The batch means die with this call, so one set's small arrays never sit
+    above its freed input buffer in the heap while the next set steps.
+    """
+    families = list(dict.fromkeys(map(_family, cells)))
+    t0 = time.perf_counter()
+    try:
+        summaries = _trajectory(next(iter(cells.values())), [plans[f] for f in families])
+    except (SgdciError, ValueError) as e:
+        return {mth: _failed(mth, e) for mth in cells}
+    stepping_s = time.perf_counter() - t0
+    by_family = dict(zip(families, summaries))
+    out = {}
+    for mth, cfg in cells.items():
+        try:
+            out[mth] = _score(cfg, plans[_family(mth)], by_family[_family(mth)], cache,
+                              threads, stepping_s)
+        except (SgdciError, ValueError) as e:
+            out[mth] = _failed(mth, e)
+    return out
 
 
 def run_comparison(
@@ -325,10 +388,14 @@ def run_comparison(
 ) -> list:
     """All methods on one problem at an identical iteration budget.
 
-    Returns one CoverageReport per method; a cell that raises a domain
-    error is replaced by a FailedCell record and the run continues.
+    Returns one CoverageReport per method, equal in signature() to what
+    run_coverage gives for that cell; a cell that raises a domain error is
+    replaced by a FailedCell record and the run continues. Each chain set is
+    stepped once: one pass over R long chains batches them under the bm and
+    the BMI plans, and one pass over the sections serves both sectioning
+    cells. A divergence in a shared pass fails every cell that uses it.
     """
-    out = []
+    out, cells, plans = {}, {}, {}  # method -> result, method -> config, family -> plan
     for method in METHODS:
         try:
             cfg = CoverageConfig(
@@ -337,10 +404,16 @@ def run_comparison(
                 schedule=schedule or StepSchedule(), burn_in=burn_in,
                 cal_reps=cal_reps,
             )
-            out.append(run_coverage(cfg, cache=cache, threads=threads))
+            if _family(method) not in plans:
+                plans[_family(method)] = _cell_plan(cfg)
+            cells[method] = cfg
         except (SgdciError, ValueError) as e:
-            out.append(FailedCell(method=method, error=f"{type(e).__name__}: {e}"))
-    return out
+            out[method] = _failed(method, e)
+    for chain_set in (("bm", "bmi"), ("sectioning",)):
+        members = {mth: cfg for mth, cfg in cells.items() if _family(mth) in chain_set}
+        if members:
+            out.update(_shared_cells(members, plans, cache, threads))
+    return [out[mth] for mth in METHODS]
 
 
 _COVERAGE_COLUMNS = [

@@ -6,7 +6,10 @@ arrays, and accumulates the post-burn-in iterates into batch sums. The step
 index t is global: burn-in iterations advance the schedule, their iterates
 are simply not averaged. `run_chains` is the one stepping loop; a single run
 (`single_run`, `run_sgd`) is its R = 1 case, so a serial run and one chain
-of a replicated study agree, and fail the same way, by construction.
+of a replicated study agree, and fail the same way, by construction. One
+call batches the same iterates under several plans at once: each plan keeps
+its own batch sums, added in step order, so its batch means are those of a
+separate run, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,15 +76,16 @@ class SgdRunConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
-def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, boundaries,
-               observer: Optional[Callable[[np.ndarray], None]] = None):
+def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
+               observer: Optional[Callable[[np.ndarray], None]] = None) -> list:
     """Advance len(gens) independent chains and return their batch means.
 
-    boundaries is any integer array 0 = tau_0 < ... < tau_m = config.T;
-    returns (xi, xbar) with xi of shape (m, R, d) and xbar of shape (R, d).
-    Every chain starts at config.x0 (zero if None); chain j draws its inputs
-    from gens[j] in blocks. observer, if given, receives the (R, d) iterates
-    of every step after burn-in. A chain that leaves the finite range raises
+    plans is a sequence of integer boundary arrays, each
+    0 = tau_0 < ... < tau_m = config.T; returns one (xi, xbar) per plan,
+    with xi of shape (m, R, d) and xbar of shape (R, d). Every chain starts
+    at config.x0 (zero if None); chain j draws its inputs from gens[j] in
+    blocks. observer, if given, receives the (R, d) iterates of every step
+    after burn-in. A chain that leaves the finite range raises
     NonFiniteIterate with its global step index and its index (the lowest,
     if several leave at that step) as the replication. The check runs once
     per block, so observer may have received the iterates of the block in
@@ -89,15 +93,16 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, boundaries,
     """
     R, d = len(gens), oracle.dim
     T, burn = config.T, config.burn_in
-    bounds = np.asarray(boundaries, dtype=np.int64)
-    if bounds[0] != 0 or bounds[-1] != T:
+    bounds = [np.asarray(b, dtype=np.int64) for b in plans]
+    if any(b[0] != 0 or b[-1] != T for b in bounds):
         raise ValueError(f"batch boundaries must run from 0 to T={T}")
     x0 = np.zeros(d) if config.x0 is None else np.asarray(config.x0, dtype=float)
     if x0.shape != (d,):
         raise OracleDimensionMismatch(f"x0 has shape {x0.shape}, oracle dimension is {d}")
     x = np.tile(x0, (R, 1))
-    step_batch = np.searchsorted(bounds, np.arange(T), side="right") - 1
-    sums = np.zeros((len(bounds) - 1, R, d))
+    # per plan: its batch sums and the batch index of each post-burn-in step
+    batched = [(np.zeros((len(b) - 1, R, d)),
+                np.searchsorted(b, np.arange(T), side="right") - 1) for b in bounds]
     total = burn + T
     chunk = max(64, min(4096, (1 << 21) // max(1, R * (d + 1))))
     inputs = None  # (chunk, R, k), allocated once the first block shows k
@@ -126,7 +131,8 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, boundaries,
                 x = advance(x, inputs[s], tt)
                 k = tt - burn - 1
                 if k >= 0:
-                    sums[step_batch[k]] += x
+                    for plan_sums, step_batch in batched:
+                        plan_sums[step_batch[k]] += x
                     if observer is not None:
                         observer(x)
             if not np.isfinite(x).all():
@@ -139,9 +145,9 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, boundaries,
                     if bad.any():
                         raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
             t += c
-    xi = sums / np.diff(bounds).astype(float)[:, None, None]
-    xbar = sums.sum(axis=0) / float(T)
-    return xi, xbar
+    return [(plan_sums / np.diff(b).astype(float)[:, None, None],
+             plan_sums.sum(axis=0) / float(T))
+            for (plan_sums, _), b in zip(batched, bounds)]
 
 
 def single_run(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
@@ -149,7 +155,7 @@ def single_run(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStrea
     """run_chains on one stream: xi (m, d) and xbar (d,); a divergence
     raises NonFiniteIterate with replication None."""
     try:
-        xi, xbar = run_chains(oracle, config, [stream.gen], boundaries, observer)
+        ((xi, xbar),) = run_chains(oracle, config, [stream.gen], [boundaries], observer)
     except NonFiniteIterate as e:
         raise NonFiniteIterate(e.t) from None
     return xi[:, 0], xbar[0]

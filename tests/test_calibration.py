@@ -6,6 +6,10 @@ must reproduce the one-draw-at-a-time reference path draw for draw.
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -307,6 +311,46 @@ class TestQuantileCache:
         stored = json.loads(path.read_text())
         assert list(stored) == [QuantileCache._key_str(fresh.key)]
         assert stored[QuantileCache._key_str(fresh.key)]["alpha_hat"] == fresh.alpha_hat
+
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        # Both writers load the empty cache before either stores anything, so
+        # each must merge what the other wrote rather than overwrite it.
+        path, n, writers = tmp_path / "q.json", 30, 2
+        script = (
+            "import os, sys, time\n"
+            "from sgdci.calibration import QuantileCache, ScalingQuantile\n"
+            "path, tag, n = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
+            "cache = QuantileCache(path)\n"
+            "open(path + '.ready' + tag, 'w').close()\n"
+            "while not os.path.exists(path + '.go'):\n"
+            "    time.sleep(0.005)\n"
+            "for i in range(n):\n"
+            "    cache.put(ScalingQuantile(float(i), 0.0, 2.0 * i, 0.05, 10000,\n"
+            "                              (1, 6, 'w' + tag, 0.05, 10000, i)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(calibration.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(k), str(n)],
+                                  env=env) for k in range(writers)]
+        try:
+            deadline = time.monotonic() + 120
+            while not all(os.path.exists(f"{path}.ready{k}") for k in range(writers)):
+                assert time.monotonic() < deadline, "writers did not start"
+                assert all(p.poll() is None for p in procs), "a writer exited early"
+                time.sleep(0.01)
+            open(f"{path}.go", "w").close()
+            assert [p.wait(timeout=120) for p in procs] == [0] * writers
+        finally:
+            for p in procs:
+                p.kill()
+        cache = QuantileCache(path)
+        for k in range(writers):
+            for i in range(n):
+                hit = cache.get((1, 6, f"w{k}", 0.05, 10000, i))
+                assert hit is not None and hit.alpha_hat == float(i)
+        assert len(json.loads(path.read_text())) == writers * n
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
     def test_weights_key_sensitivity(self):
         w1 = (0.5, 0.5)

@@ -8,7 +8,7 @@ import pytest
 from sgdci.baselines import bmi_infer, sectioning_infer
 from sgdci.batching import Allocation, make_plan, accumulate
 from sgdci.calibration import estimate_alpha, spec_from_plan
-from sgdci.errors import NonFiniteIterate
+from sgdci.errors import NonFiniteIterate, SgdciError
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
     METHODS,
@@ -56,7 +56,7 @@ class TestChainEngine:
         params = linspace_params(d)
         gens = [derive_stream(*s).gen for s in seeds]
         factory = linear_oracle if model == "linear" else logistic_oracle
-        xi, xbar = run_chains(factory(params), SgdRunConfig(T=T), gens, plan.boundaries)
+        xi, xbar = run_chains(factory(params), SgdRunConfig(T=T), gens, [plan.boundaries])[0]
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
         assert np.allclose(xbar, xbar_ref, rtol=0, atol=1e-12)
 
@@ -67,7 +67,7 @@ class TestChainEngine:
         params = linspace_params(d)
         gens = [derive_stream(*s).gen for s in seeds]
         xi, xbar = run_chains(linear_oracle(params), SgdRunConfig(T=T, burn_in=burn), gens,
-                              plan.boundaries)
+                              [plan.boundaries])[0]
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
         assert np.allclose(xbar, xbar_ref, rtol=0, atol=1e-12)
 
@@ -259,6 +259,54 @@ class TestDivergence:
             if not method.startswith("sectioning"):
                 assert isinstance(r, FailedCell) and r.method == method
                 assert r.error.startswith("NonFiniteIterate")
+
+
+def _separate_cells(model, d, T, m, alloc, replications, base_seed, **kw):
+    """Each method as its own run_coverage call, failures recorded as in compare."""
+    out = []
+    for method in METHODS:
+        try:
+            cfg = CoverageConfig(model=model, d=d, T=T, method=method, m=m, alloc=alloc,
+                                 replications=replications, base_seed=base_seed,
+                                 cal_reps=10000, **kw)
+            out.append(run_coverage(cfg))
+        except (SgdciError, ValueError) as e:
+            out.append(FailedCell(method=method, error=f"{type(e).__name__}: {e}"))
+    return out
+
+
+class TestSharedTrajectories:
+    """run_comparison steps each chain set once; every cell still equals the
+    separate run_coverage call for that method, failures included."""
+
+    ibs = Allocation(kind="ibs", r=2.0 / 3.0)
+    diverging = StepSchedule(a=20.0)
+
+    @pytest.mark.filterwarnings("ignore:m - d")
+    @pytest.mark.parametrize("problem, extra, failing", [
+        (("linear", 2, 600, 8, ibs, 6, 3), {}, set()),
+        (("logistic", 3, 600, 8, ibs, 6, 4), {"burn_in": 11}, set()),
+        (("linear", 3, 600, 3, Allocation(kind="es"), 4, 9), {},
+         {"bm_joint", "sectioning_joint"}),
+        (("linear", 2, 12, 4, Allocation(kind="es"), 5, 1), {},
+         {"bmi_joint", "bmi_marginal"}),
+        # TestDivergence's setup: the long chains diverge, the sections do not
+        (("linear", 20, 4000, 25, Allocation(kind="ibs"), 2, 0), {"schedule": diverging},
+         {"bm_joint", "bm_marginal", "bmi_joint", "bmi_marginal", "sectioning_joint"}),
+        (("linear", 2, 400, 8, ibs, 3, 0), {"burn_in": -5}, set(METHODS)),
+    ], ids=["linear_d2", "logistic_d3", "m_le_d", "T12", "diverging", "negative_burn_in"])
+    def test_cells_equal_separate_runs(self, problem, extra, failing):
+        model, d, T, m, alloc, R, seed = problem
+        shared = run_comparison(model, d, T, m, alloc, 0.05, R, seed, cal_reps=10000,
+                                **extra)
+        separate = _separate_cells(model, d, T, m, alloc, R, seed, **extra)
+        assert {c.method for c in separate if isinstance(c, FailedCell)} == failing
+        for a, b in zip(shared, separate):
+            if isinstance(b, FailedCell):
+                assert a == b
+            else:
+                assert not isinstance(a, FailedCell)
+                assert a.signature() == b.signature()
 
 
 class TestSharedRules:

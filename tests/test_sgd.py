@@ -177,7 +177,7 @@ class TestDriverReference:
         cfg = SgdRunConfig(T=self.plan.T, burn_in=23, x0=np.array([0.3, -0.4]))
         lineages = [(61, j) for j in range(3)]
         xi, xbar = run_chains(oracle, cfg, [derive_stream(*s).gen for s in lineages],
-                              self.plan.boundaries)
+                              [self.plan.boundaries])[0]
         for j, s in enumerate(lineages):
             xi_ref, xbar_ref = _reference_batch_means(
                 model, params.x_star, cfg, self.plan.boundaries, derive_stream(*s))
@@ -187,9 +187,46 @@ class TestDriverReference:
     def test_one_chain_equals_run_sgd_with_accumulator(self):
         oracle = logistic_oracle(linspace_params(3))
         cfg = SgdRunConfig(T=self.plan.T, burn_in=7)
-        xi, xbar = run_chains(oracle, cfg, [derive_stream(62).gen], self.plan.boundaries)
+        xi, xbar = run_chains(oracle, cfg, [derive_stream(62).gen], [self.plan.boundaries])[0]
         acc = accumulate(self.plan, 3)
         run_sgd(oracle, cfg, derive_stream(62), acc.feed)
         summary = acc.finalize()
         assert np.array_equal(xi[:, 0], summary.xi)
         assert np.array_equal(xbar[0], summary.xbar)
+
+
+class TestSeveralPlans:
+    """One run_chains call batches the same iterates under several plans."""
+
+    T = 500
+    plans = [
+        make_plan(T, 6, Allocation(kind="ibs")).boundaries,
+        make_plan(T, 12, Allocation(kind="es")).boundaries,
+        make_plan(T, 5, Allocation(kind="dbs", r=0.6)).boundaries,
+        [0, T],
+        [0, 7, T],
+    ]
+
+    @pytest.mark.parametrize("model, burn_in", [("linear", 0), ("logistic", 0),
+                                                ("linear", 23), ("logistic", 41)])
+    def test_each_plan_equals_its_own_run(self, model, burn_in):
+        oracle = (linear_oracle if model == "linear" else logistic_oracle)(linspace_params(2))
+        cfg = SgdRunConfig(T=self.T, burn_in=burn_in)
+
+        def gens():
+            return [derive_stream(63, j).gen for j in range(3)]
+
+        shared = run_chains(oracle, cfg, gens(), self.plans)
+        assert len(shared) == len(self.plans)
+        for bounds, (xi, xbar) in zip(self.plans, shared):
+            ((xi_ref, xbar_ref),) = run_chains(oracle, cfg, gens(), [bounds])
+            assert xi.shape == (len(bounds) - 1, 3, 2)
+            assert np.array_equal(xi, xi_ref)
+            assert np.array_equal(xbar, xbar_ref)
+
+    @pytest.mark.parametrize("bad", [[0, 10, T - 1], [1, T], [0, T + 1]])
+    def test_every_plan_must_span_the_run(self, bad):
+        oracle = linear_oracle(linspace_params(2))
+        with pytest.raises(ValueError, match="must run from 0 to T=500"):
+            run_chains(oracle, SgdRunConfig(T=self.T), [derive_stream(64).gen],
+                       [self.plans[0], bad])
