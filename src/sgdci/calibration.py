@@ -14,8 +14,11 @@ thread, not of memory: _gram_blocks walks a chunk, and the determinant
 pass of the volume factor, in blocks of about 4 MB of normals, reducing
 each block to its Gram matrices in place while it is in cache, so a worker
 holds one block at a time whatever the chunk size or thread count. The
-per-draw route below (simulate_limit_draw) decides through linalg's one
-positive-definiteness rule and serves as the reference the batched path is
+batched route forms every G by the same matmuls and every statistic as
+Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
+uses, at every d. The per-draw route (simulate_limit_draw) decides through
+linalg's one positive-definiteness rule; it redraws the probability-zero
+singular draws of the batched route and is the reference that route is
 tested against.
 
 With even weights the limit is the F(d, m-d) distribution rescaled, which
@@ -39,6 +42,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
 
+from .batching import _joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
 from .streams import RandomStream, derive_stream
@@ -53,7 +57,7 @@ _BLOCK_DOUBLES = 1 << 19
 # Version of the route from a stream to a statistic (draw layout, skeleton
 # arithmetic, statistic). Bump it whenever a calibrated value can change,
 # even in its last bits, so QuantileCache never serves an older route's value.
-KERNEL_ROUTE = 2
+KERNEL_ROUTE = 3
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,6 @@ class LimitDrawSpec:
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-
-    @property
-    def factor(self) -> float:
-        d, m = self.d, self.m
-        return m * (m - d) / (d * (m - 1))
 
 
 def spec_from_plan(plan, d: int) -> LimitDrawSpec:
@@ -151,7 +150,7 @@ def simulate_limit_draw(spec: LimitDrawSpec, stream: RandomStream) -> float:
         D, Z = _draw_skeleton_raw(spec, stream)
         g = g_of_skeleton(D, spec.w)
         try:
-            return spec.factor * quad_form_inv(g, Z)
+            return quad_form_inv(g, Z) / _joint_constant(spec.d, spec.m)
         except NotPositiveDefinite:
             continue
     raise DegenerateDraw(
@@ -180,52 +179,41 @@ def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: 
     m, d = spec.m, spec.d
     width = m * d + (d if with_z else 0)
     rows = max(16, _BLOCK_DOUBLES // (m * d + d))
-    w = np.asarray(spec.w)
-    sqw = np.sqrt(w)
+    sqw = np.sqrt(np.asarray(spec.w))
     sqw_flat = np.repeat(sqw, d)  # sqrt(w_i) at each of batch i's d normals
     for start in range(0, n, rows):
         raw = gen.standard_normal((min(rows, n - start), width))
         flat = raw[:, : m * d]
         N = flat.reshape(-1, m, d)
-        if d == 1:
-            # Elementwise: the d = 1 (marginal) quantiles pinned in the
-            # tests are these bits; matmul moves them by 1-2 ulp.
-            flat *= sqw
-            b1 = flat.sum(axis=1)
-            flat /= w
-            flat -= b1[:, None]
-            G = np.einsum("nmi,nmj->nij", N, N)
-        else:
-            b1 = np.matmul(sqw, N)  # B(1), the increments' sum
-            flat /= sqw_flat  # batch slopes D_i / w_i
-            N -= b1[:, None, :]
-            G = np.matmul(N.transpose(0, 2, 1), N)
+        b1 = np.matmul(sqw, N)  # B(1), the increments' sum
+        flat /= sqw_flat  # batch slopes D_i / w_i
+        N -= b1[:, None, :]
+        G = np.matmul(N.transpose(0, 2, 1), N)
         G /= m - 1
         yield G, (raw[:, m * d :] if with_z else None)
 
 
 def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
-    """n statistics from stream (base_seed, chunk_index), batched."""
+    """n statistics from stream (base_seed, chunk_index), batched.
+
+    An exactly singular G (probability zero) fails the block's solve; its
+    draws are solved against I instead, so the block's other draws keep
+    their values, and are then redrawn through simulate_limit_draw from the
+    rescue stream (base_seed, 2**32 + chunk_index).
+    """
     stream = derive_stream(base_seed, chunk_index)
     stats = np.empty(n)
-    done = 0
+    done, scale = 0, _joint_constant(spec.d, spec.m)
     for G, Z in _gram_blocks(spec, stream.gen, n, with_z=True):
-        out = stats[done : done + len(G)]
-        done += len(G)
-        if spec.d == 1:
-            # the solve below in closed form; g = 0 gives inf or nan, rescued
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[:] = spec.factor * (Z[:, 0] * (Z[:, 0] / G[:, 0, 0]))
-            continue
         try:
             sol = np.linalg.solve(G, Z[..., None])[..., 0]
-            out[:] = spec.factor * np.einsum("nd,nd->n", Z, sol)
         except np.linalg.LinAlgError:
-            for i in range(len(G)):
-                try:
-                    out[i] = spec.factor * quad_form_inv(SymMatrix(G[i]), Z[i])
-                except NotPositiveDefinite:
-                    out[i] = np.nan  # rescued below
+            singular = np.linalg.det(G) == 0.0
+            G[singular] = np.eye(spec.d)
+            sol = np.linalg.solve(G, Z[..., None])[..., 0]
+            Z[singular] = np.nan  # rescued below
+        stats[done : done + len(G)] = np.einsum("nd,nd->n", Z, sol) / scale
+        done += len(G)
     bad = ~np.isfinite(stats)
     if np.any(bad):
         rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .batching import Allocation, BatchMeansSummary, ideal_weights, make_plan
+from .batching import ALLOCATION_KINDS, Allocation, BatchMeansSummary, ideal_weights, make_plan
 from .calibration import (
     LimitDrawSpec,
     QuantileCache,
@@ -29,6 +29,7 @@ from .calibration import (
 )
 from .errors import SgdciError
 from .experiments import (
+    METHODS,
     CoverageConfig,
     run_comparison,
     run_coverage,
@@ -39,7 +40,7 @@ from .experiments import (
     write_volume_csv,
 )
 from .inference import build_region, marginal_intervals, region_volume
-from .models import ingest_csv
+from .models import ORACLES, ingest_csv
 from .sgd import SgdRunConfig, StepSchedule, single_run
 from .streams import derive_stream
 
@@ -73,7 +74,7 @@ def _int_list(text: str) -> tuple:
 
 
 def _add_alloc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alloc", choices=["ibs", "es", "dbs", "custom"], default="ibs",
+    p.add_argument("--alloc", choices=ALLOCATION_KINDS, default="ibs",
                    help="batch size allocation")
     p.add_argument("--r", type=float, default=2.0 / 3.0,
                    help="allocation exponent for ibs/dbs")
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf = sub.add_parser("infer", formatter_class=fmt,
                            help="confidence region from a CSV dataset")
     p_inf.add_argument("--data", required=True, help="CSV with header a_1,...,a_d,b")
-    p_inf.add_argument("--model", choices=["linear", "logistic"], required=True)
+    p_inf.add_argument("--model", choices=list(ORACLES), required=True)
     p_inf.add_argument("--m", type=_positive_int, default=30, help="batch count")
     _add_alloc_flags(p_inf)
     p_inf.add_argument("--delta", type=float, default=0.05, help="miss probability")
@@ -374,12 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = exp_sub.add_parser("coverage", formatter_class=fmt,
                                help="empirical coverage of one method")
-    p_cov.add_argument("--model", choices=["linear", "logistic"], required=True)
+    p_cov.add_argument("--model", choices=list(ORACLES), required=True)
     p_cov.add_argument("--d", type=_positive_int, required=True)
     p_cov.add_argument("--T", type=_positive_int, required=True)
-    p_cov.add_argument("--method", default="bm_joint",
-                       choices=["bm_joint", "bm_marginal", "sectioning_joint",
-                                "sectioning_marginal", "bmi_joint", "bmi_marginal"])
+    p_cov.add_argument("--method", default="bm_joint", choices=METHODS)
     p_cov.add_argument("--m", type=_positive_int, required=True)
     _add_alloc_flags(p_cov)
     p_cov.add_argument("--delta", type=float, default=0.05)
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = exp_sub.add_parser("detcov", formatter_class=fmt,
                                help="scaled covariance determinants across replications")
-    p_det.add_argument("--model", choices=["linear", "logistic"], required=True)
+    p_det.add_argument("--model", choices=list(ORACLES), required=True)
     p_det.add_argument("--d", type=_positive_int, required=True)
     p_det.add_argument("--m", type=_positive_int, required=True)
     p_det.add_argument("--T", type=_positive_int, required=True)
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", formatter_class=fmt,
                            help="all methods on one problem, shared budget")
-    p_cmp.add_argument("--model", choices=["linear", "logistic"], required=True)
+    p_cmp.add_argument("--model", choices=list(ORACLES), required=True)
     p_cmp.add_argument("--d", type=_positive_int, required=True)
     p_cmp.add_argument("--T", type=_positive_int, required=True)
     p_cmp.add_argument("--m", type=_positive_int, required=True)
@@ -447,26 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_path_from(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                return None  # let argparse report the missing value
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Install the --config JSON object as defaults of the flags it names.
 
-
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
-    """Load --config JSON and install it as subparser defaults.
-
-    Keys must name known flags (underscore form); unknown keys are a usage
-    error so typos cannot silently vanish. Command-line flags still win.
+    Keys must name flags of the invoked subcommand (underscore form); any
+    other key, a typo or another subcommand's flag, is a usage error, so it
+    cannot silently vanish. Command-line flags still win.
     """
-    path = _config_path_from(argv)
-    if path is None:
-        return
+    path = args.config
     try:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -474,15 +461,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
         parser.error(f"cannot read config {path}: {e}")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
-    known = set()
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            elif action.dest != "help":
-                known.add(action.dest)
+    known = set(vars(args)) - {"func", "config", "command", "study"}
     cleaned = {}
     for key, val in overrides.items():
         dest = key.replace("-", "_")
@@ -502,10 +481,11 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    _apply_config_defaults(parser, argv)
     args = parser.parse_args(argv)
+    if args.config is not None:
+        _apply_config_defaults(parser, args)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (SgdciError, ValueError, OSError) as e:

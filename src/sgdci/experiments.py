@@ -92,7 +92,7 @@ class CoverageConfig:
     cal_seed: int = DEFAULT_CAL_SEED
 
     def __post_init__(self):
-        if self.model not in ("linear", "logistic"):
+        if self.model not in ORACLES:
             raise ValueError(f"unknown model {self.model!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")

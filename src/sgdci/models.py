@@ -116,7 +116,7 @@ def ingest_csv(path, model_kind: str):
     rows of shape (n, d + 1); the oracle raises ExhaustedData when asked for
     more rows than the file holds.
     """
-    if model_kind not in ("linear", "logistic"):
+    if model_kind not in ORACLES:
         raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -152,4 +152,10 @@ def ingest_csv(path, model_kind: str):
     if not data:
         raise ParseError(f"{path}: no data rows")
     rows = np.frombuffer(data).reshape(-1, d + 1)
+    nonfinite = np.argwhere(~np.isfinite(rows))
+    if len(nonfinite):
+        r, c = nonfinite[0]
+        raise ParseError(
+            f"{path}: row {r + 1}, column {c + 1}: {rows[r, c]} is not a finite number"
+        )
     return rows, _replay_oracle(rows, model_kind)

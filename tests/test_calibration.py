@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgdci import calibration
-from sgdci.batching import Allocation, ideal_weights, make_plan
+from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
 from sgdci.calibration import (
     LimitDrawSpec,
     QuantileCache,
@@ -107,8 +107,7 @@ class TestLimitDrawSpec:
             LimitDrawSpec(3, 3, (1 / 3, 1 / 3, 1 / 3))
 
     def test_factor(self):
-        s = even_spec(1, 2)
-        assert s.factor == pytest.approx(2.0)
+        assert 1 / _joint_constant(1, 2) == 2.0
 
     def test_spec_from_plan(self):
         plan = make_plan(800, 2, Allocation(kind="ibs", r=2.0 / 3.0))
@@ -207,12 +206,11 @@ class TestEstimateAlpha:
         assert np.array_equal(one_block[0], many_blocks[0])
         assert one_block[1:] == many_blocks[1:]
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 5])
     def test_singular_draw_is_rescued(self, d, monkeypatch):
-        # a zero G in the first block: inf at d = 1; at d = 2 the batched
-        # solve fails, the block goes draw by draw through quad_form_inv and
-        # the zero G raises NotPositiveDefinite. Either way the draw is
-        # replaced from the rescue stream.
+        # a zero G in the first block fails its batched solve; the zero G is
+        # solved against I and then replaced from the rescue stream, and every
+        # other draw keeps its clean value.
         spec = even_spec(d, d + 9)
         n, k, seed, bad = 300, 3, 8, 5
         monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
@@ -230,12 +228,7 @@ class TestEstimateAlpha:
         assert np.all(np.isfinite(stats))
         assert stats[bad] == simulate_limit_draw(spec, derive_stream(seed, 2**32 + k))
         others = np.arange(n) != bad
-        if d == 1:
-            assert np.array_equal(stats[others], clean[others])
-        else:
-            # the first block's other draws took the per-draw factorization
-            assert np.array_equal(stats[16:], clean[16:])
-            assert np.allclose(stats[others], clean[others], rtol=1e-12, atol=0.0)
+        assert np.array_equal(stats[others], clean[others])
 
     def test_chunk_memory_is_one_block(self):
         spec = even_spec(5, 100)
@@ -297,20 +290,22 @@ class TestQuantileCache:
         assert len(cache._records) == 2
 
     def test_records_of_other_routes_are_not_served(self, tmp_path):
-        path = tmp_path / "q.json"
         spec = even_spec(1, 6)
         fresh = estimate_alpha(spec, 0.05, 10**4, 82)
         d, m, wkey, delta, reps, seed = fresh.key
-        # a record in the unversioned key format of earlier releases
-        unversioned = f"d={d}|m={m}|w={wkey}|delta={delta!r}|reps={reps}|seed={seed}"
-        path.write_text(json.dumps({unversioned: {
-            "d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
-            "base_seed": seed, "alpha_hat": -1.0, "ci_low": -2.0, "ci_high": 0.0}}))
-        served = estimate_alpha(spec, 0.05, 10**4, 82, cache=QuantileCache(path))
-        assert served == fresh
-        stored = json.loads(path.read_text())
-        assert list(stored) == [QuantileCache._key_str(fresh.key)]
-        assert stored[QuantileCache._key_str(fresh.key)]["alpha_hat"] == fresh.alpha_hat
+        # a record in the unversioned key format of earlier releases, and one
+        # made by the previous draw route
+        for prefix in ("", "route=2|"):
+            path = tmp_path / f"q{len(prefix)}.json"
+            stale = f"{prefix}d={d}|m={m}|w={wkey}|delta={delta!r}|reps={reps}|seed={seed}"
+            path.write_text(json.dumps({stale: {
+                "d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
+                "base_seed": seed, "alpha_hat": -1.0, "ci_low": -2.0, "ci_high": 0.0}}))
+            served = estimate_alpha(spec, 0.05, 10**4, 82, cache=QuantileCache(path))
+            assert served == fresh
+            stored = json.loads(path.read_text())
+            assert list(stored) == [QuantileCache._key_str(fresh.key)]
+            assert stored[QuantileCache._key_str(fresh.key)]["alpha_hat"] == fresh.alpha_hat
 
     def test_concurrent_writers_keep_every_record(self, tmp_path):
         # Both writers load the empty cache before either stores anything, so

@@ -160,12 +160,14 @@ class TestConfigFile:
         assert "reps=24000" in capsys.readouterr().out
 
     def test_unknown_key_is_usage_error(self, tmp_path):
+        # a typo, and flags that only other subcommands have
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"repz": 16000}))
-        with pytest.raises(SystemExit) as exc:
-            main(["calibrate", "--d", "1", "--m", "8",
-                  "--config", str(cfg), "--no-cache"])
-        assert exc.value.code == 2
+        for keys in ({"repz": 16000}, {"cal_reps": 16000}, {"T": 5, "m_list": [3]}):
+            cfg.write_text(json.dumps(keys))
+            with pytest.raises(SystemExit) as exc:
+                main(["calibrate", "--d", "1", "--m", "8",
+                      "--config", str(cfg), "--no-cache"])
+            assert exc.value.code == 2, keys
 
     def test_unreadable_config_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

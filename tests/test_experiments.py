@@ -187,11 +187,11 @@ class TestSingleRunAgreement:
 PINNED_CELLS = [
     ("linear", 2, 12,
      [40.0, 39.0, 38.0, 38.5, 40.0, 39.5],
-     [1.0667790325514046, 0.7809633394059616, 4.10282101854682, 4.844335671514273,
+     [1.0667790325514048, 0.7809633394059614, 4.10282101854682, 4.844335671514273,
       None, None]),
     ("logistic", 3, 15,
      [2.0, 14.000000000000002, 0.0, 13.000000000000005, 32.0, 34.33333333333334],
-     [1.03814915441131, 0.5985185940826797, 3.4902948178350925, 4.600109938532114,
+     [1.03814915441131, 0.5985185940826798, 3.4902948178350925, 4.600109938532114,
       None, None]),
 ]
 

@@ -130,11 +130,15 @@ class TestIngestCsv:
             ingest_csv(p, "linear")
 
     def test_bad_cell_diagnostics(self, tmp_path):
-        p = self._write(tmp_path, "a_1,b\n1.0,2.0\noops,3.0\n")
-        with pytest.raises(ParseError) as exc:
-            ingest_csv(p, "linear")
-        msg = str(exc.value)
-        assert "row 2" in msg and "column 1" in msg
+        # unparsable text, and parsable but non-finite values, which would
+        # otherwise surface as a diverging iterate steps later
+        for cell in ("oops", "nan", "inf", "-inf"):
+            text = f"a_1,a_2,b\n1.0,0.5,2.0\n1.0,{cell},3.0\n0.5,nan,1.0\n"
+            p = self._write(tmp_path, text)
+            with pytest.raises(ParseError) as exc:
+                ingest_csv(p, "linear")
+            msg = str(exc.value)
+            assert "row 2" in msg and "column 2" in msg, cell
 
     def test_ragged_row(self, tmp_path):
         p = self._write(tmp_path, "a_1,a_2,b\n1.0,2.0\n")
