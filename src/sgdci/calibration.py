@@ -10,11 +10,15 @@ as a distribution-free order-statistic confidence interval.
 Draw generation is chunked: chunk k of a calibration run consumes the
 stream (base_seed, k), so results are independent of thread count and the
 chunk schedule is reproducible. The chunk is the unit of stream and of
-thread, not of memory: _gram_blocks walks a chunk, and the determinant
-pass of the volume factor, in blocks of about 4 MB of normals, reducing
-each block to its Gram matrices in place while it is in cache, so a worker
-holds one block at a time whatever the chunk size or thread count. The
-batched route forms every G by the same matmuls and every statistic as
+thread: a calibration runs its chunks on a pool of worker threads, and the
+volume study (experiments.run_volume_study) runs the chunks and the
+determinant pass of neighbouring batch counts side by side on one pool,
+each on its own stream. The chunk is not the unit of memory: _gram_blocks
+walks a chunk, and the determinant pass of the volume factor, in blocks of
+about 4 MB of normals, reducing each block to its Gram matrices in place
+while it is in cache, so a worker holds one block at a time whatever the
+chunk size or thread count. The batched route forms every G by the same
+matmuls and every statistic as
 Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
 uses, at every d. The per-draw route (simulate_limit_draw) decides through
 linalg's one positive-definiteness rule; it redraws the probability-zero
@@ -310,6 +314,20 @@ def estimate_alpha(
     interval. Results are cached under the exact
     (d, m, weight digest, delta, reps, base_seed) key.
     """
+    key = _alpha_key(spec, delta, reps, base_seed)
+    if cache is not None and not force:
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sq = _order_statistics(key, _submit_chunks(pool, spec, reps, base_seed))
+    if cache is not None:
+        cache.put(sq)
+    return sq
+
+
+def _alpha_key(spec: LimitDrawSpec, delta: float, reps: int, base_seed: int) -> tuple:
+    """Check a calibration's arguments, warn of a heavy tail, return its key."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if reps < MIN_REPS:
@@ -321,30 +339,22 @@ def estimate_alpha(
             f"m - d = {spec.m - spec.d} < {HEAVY_TAIL_GAP}: the limiting "
             "statistic is heavy-tailed and the quantile estimate will be noisy",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    key = (spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
-    if cache is not None and not force:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    return (spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
 
+
+def _submit_chunks(pool, spec: LimitDrawSpec, reps: int, base_seed: int) -> list:
+    """Submit the chunks of a calibration run, in order; returns their futures."""
     chunk = _chunk_size(spec)
-    bounds = list(range(0, reps, chunk))
-    sizes = [min(chunk, reps - b) for b in bounds]
-    stats = np.empty(reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda ib: _eval_chunk(spec, ib[1], ib[0], base_seed),
-                enumerate(sizes),
-            )
-            for b, n, part in zip(bounds, sizes, parts):
-                stats[b : b + n] = part
-    else:
-        for idx, (b, n) in enumerate(zip(bounds, sizes)):
-            stats[b : b + n] = _eval_chunk(spec, n, idx, base_seed)
+    return [pool.submit(_eval_chunk, spec, min(chunk, reps - b), k, base_seed)
+            for k, b in enumerate(range(0, reps, chunk))]
 
+
+def _order_statistics(key: tuple, chunks: list) -> ScalingQuantile:
+    """The quantile and its confidence interval from the chunks' futures."""
+    delta, reps = key[3], key[4]
+    stats = np.concatenate([f.result() for f in chunks])
     stats.sort()
     p = 1.0 - delta
     k = int(np.ceil(p * reps))
@@ -352,7 +362,7 @@ def estimate_alpha(
     hi_rank = _binom_ppf(0.975, reps, p) + 1
     lo_rank = min(max(lo_rank, 1), k)
     hi_rank = max(min(hi_rank, reps), k)
-    sq = ScalingQuantile(
+    return ScalingQuantile(
         alpha_hat=float(stats[k - 1]),
         ci_low=float(stats[lo_rank - 1]),
         ci_high=float(stats[hi_rank - 1]),
@@ -360,9 +370,6 @@ def estimate_alpha(
         reps=int(reps),
         key=key,
     )
-    if cache is not None:
-        cache.put(sq)
-    return sq
 
 
 def _binom_ppf(q: float, n: int, p: float) -> int:

@@ -446,13 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invoked_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The subcommand parser args were parsed by (e.g. that of experiment volume)."""
+    while True:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return parser
+        parser = subs[0].choices[getattr(args, subs[0].dest)]
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
     """Install the --config JSON object as defaults of the flags it names.
 
     Keys must name flags of the invoked subcommand (underscore form); any
-    other key, a typo or another subcommand's flag, is a usage error, so it
-    cannot silently vanish. Command-line flags still win.
+    other key, a typo or another subcommand's flag, is a usage error of that
+    subcommand, so it cannot silently vanish. Command-line flags still win.
     """
+    parser = _invoked_parser(parser, args)
     path = args.config
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -470,14 +480,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
         if isinstance(val, list):
             val = tuple(val)
         cleaned[dest] = val
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        p.set_defaults(**{k: v for k, v in cleaned.items()
-                          if any(a.dest == k for a in p._actions)})
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
+    parser.set_defaults(**cleaned)
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,11 +40,20 @@ from .calibration import (
     LimitDrawSpec,
     QuantileCache,
     ScalingQuantile,
+    _alpha_key,
+    _order_statistics,
+    _submit_chunks,
     estimate_alpha,
     spec_from_plan,
 )
 from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, SgdciError
-from .inference import VolumeFactor, build_region, expected_volume_factor, marginal_intervals
+from .inference import (
+    VolumeFactor,
+    _det_sqrts,
+    _volume_factor,
+    build_region,
+    marginal_intervals,
+)
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
 from .sgd import SgdRunConfig, StepSchedule, run_chains
@@ -282,26 +292,56 @@ def run_volume_study(
     cache: Optional[QuantileCache] = None,
     threads: int = 1,
 ) -> list:
-    """Volume factor v_d(m, w) across batch counts, with standard errors."""
-    rows = []
+    """Volume factor v_d(m, w) across batch counts, with standard errors.
+
+    Row i holds what estimate_alpha (with this cache and base_seed) and
+    expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
+    batch count m_list[i]; every cell is checked before the first draw.
+    All draws run on one pool of `threads` workers: the next cell's
+    calibration chunks and determinant pass are submitted before this cell
+    is decided on the calling thread, which writes the cache in m order, so
+    at most two cells' draws are held at once. A cache hit submits no
+    calibration chunks.
+    """
     det_n = det_reps if det_reps is not None else reps
+    if det_n < 1:
+        raise ValueError(f"det_reps must be >= 1, got {det_n}")
+    cells = []
     for m in m_list:
         if m <= d:
             raise ValueError(f"volume study needs m > d, got m={m}, d={d}")
-        w = ideal_weights(m, allocation)
-        sq = estimate_alpha(
-            LimitDrawSpec(d, m, tuple(w)), delta, reps, base_seed,
-            cache=cache, threads=threads,
+        spec = LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation)))
+        cells.append((spec, _alpha_key(spec, delta, reps, base_seed)))
+
+    def submit(spec, key):
+        hit = cache.get(key) if cache is not None else None
+        chunks = [] if hit is not None else _submit_chunks(pool, spec, reps, base_seed)
+        stream = derive_stream(base_seed, 7_000_000 + spec.m)
+        return spec, key, hit, chunks, pool.submit(_det_sqrts, spec, det_n, stream)
+
+    def decide(spec, key, hit, chunks, dets) -> VolumeRow:
+        sq = hit
+        if sq is None:
+            sq = _order_statistics(key, chunks)
+            if cache is not None:
+                cache.put(sq)
+        return VolumeRow(
+            d=d, m=spec.m, allocation=allocation.kind, delta=delta, reps=reps,
+            det_reps=det_n, base_seed=base_seed,
+            factor=_volume_factor(d, spec.m, sq, dets.result()), alpha=sq,
         )
-        vf = expected_volume_factor(
-            d, m, w, sq, det_n, derive_stream(base_seed, 7_000_000 + m)
-        )
-        rows.append(
-            VolumeRow(
-                d=d, m=m, allocation=allocation.kind, delta=delta, reps=reps,
-                det_reps=det_n, base_seed=base_seed, factor=vf, alpha=sq,
-            )
-        )
+
+    rows, ahead = [], []
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for cell in cells:
+            ahead.append(submit(*cell))
+            if len(ahead) == 2:
+                rows.append(decide(*ahead.pop(0)))
+        if ahead:
+            rows.append(decide(*ahead.pop()))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows
 
 

@@ -157,12 +157,23 @@ def expected_volume_factor(
     _check_key(alpha, d, m, spec.w)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    return _volume_factor(d, m, alpha, _det_sqrts(spec, reps, stream))
+
+
+def _det_sqrts(spec: LimitDrawSpec, reps: int, stream: RandomStream) -> np.ndarray:
+    """det(g)^{1/2} of reps skeleton draws from stream; 0 where det(g) <= 0."""
     dets = np.empty(reps)
     done = 0
     for G, _ in _gram_blocks(spec, stream.gen, reps, with_z=False):
         sign, logdet = np.linalg.slogdet(G)
         dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
         done += len(G)
+    return dets
+
+
+def _volume_factor(d: int, m: int, alpha: ScalingQuantile, dets: np.ndarray) -> VolumeFactor:
+    """The volume factor and its standard error from the determinant draws."""
+    reps = len(dets)
     e_det = float(dets.mean())
     se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     cfac = _joint_constant(d, m) ** (d / 2.0)

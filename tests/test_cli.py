@@ -159,7 +159,7 @@ class TestConfigFile:
         assert rc == 0
         assert "reps=24000" in capsys.readouterr().out
 
-    def test_unknown_key_is_usage_error(self, tmp_path):
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         # a typo, and flags that only other subcommands have
         cfg = tmp_path / "defaults.json"
         for keys in ({"repz": 16000}, {"cal_reps": 16000}, {"T": 5, "m_list": [3]}):
@@ -168,12 +168,44 @@ class TestConfigFile:
                 main(["calibrate", "--d", "1", "--m", "8",
                       "--config", str(cfg), "--no-cache"])
             assert exc.value.code == 2, keys
+            err = capsys.readouterr().err
+            assert "usage: sgdci calibrate" in err, keys
+            assert "unknown flag" in err, keys
 
-    def test_unreadable_config_is_usage_error(self, tmp_path):
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["calibrate", "--d", "1", "--m", "8",
                   "--config", str(tmp_path / "absent.json"), "--no-cache"])
         assert exc.value.code == 2
+        assert "usage: sgdci calibrate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[8, 12]", "must hold a JSON object"),
+        ('{"T": 5}', "unknown flag"),
+    ])
+    def test_config_error_names_the_nested_study(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "defaults.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "volume", "--d", "1", "--m-list", "8,12",
+                  "--config", str(cfg), "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: sgdci experiment volume" in err
+        assert message in err
+
+    def test_config_supplies_nested_study_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"reps": 10000, "det_reps": 500, "alloc": "es"}))
+        rc = main(["experiment", "volume", "--d", "1", "--m-list", "8",
+                   "--config", str(cfg), "--no-cache", "--out", str(tmp_path / "v.csv")])
+        assert rc == 0
+        with open(tmp_path / "v.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["reps"], row["det_reps"], row["allocation"]) == ("10000", "500", "es")
 
 
 class TestCacheWiring:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sgdci.baselines import bmi_infer, sectioning_infer
-from sgdci.batching import Allocation, make_plan, accumulate
-from sgdci.calibration import estimate_alpha, spec_from_plan
+from sgdci.batching import Allocation, accumulate, ideal_weights, make_plan
+from sgdci.calibration import LimitDrawSpec, QuantileCache, estimate_alpha, spec_from_plan
 from sgdci.errors import NonFiniteIterate, SgdciError
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
@@ -22,7 +22,7 @@ from sgdci.experiments import (
     write_det_csv,
     write_volume_csv,
 )
-from sgdci.inference import build_region, contains, marginal_intervals
+from sgdci.inference import build_region, contains, expected_volume_factor, marginal_intervals
 from sgdci.linalg import quad_form_inv
 from sgdci.models import linear_oracle, linspace_params, logistic_oracle
 from sgdci.sgd import SgdRunConfig, StepSchedule, run_chains, run_sgd
@@ -368,6 +368,46 @@ class TestVolumeStudy:
                 d=3, m_list=[3], allocation=Allocation(kind="es"),
                 delta=0.05, reps=10000, base_seed=78,
             )
+
+    @staticmethod
+    def _study(cache, threads=1, m_list=(7, 20), det_reps=5000):
+        return run_volume_study(
+            d=2, m_list=list(m_list), allocation=Allocation(kind="ibs", r=2.0 / 3.0),
+            delta=0.05, reps=10000, base_seed=31, det_reps=det_reps,
+            cache=cache, threads=threads,
+        )
+
+    def test_rows_and_cache_bytes_do_not_depend_on_threads(self, tmp_path):
+        rows, blobs = [], []
+        for threads in (1, 2, 3):
+            path = tmp_path / f"q{threads}.json"
+            rows.append(self._study(QuantileCache(path), threads))
+            blobs.append(path.read_bytes())
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+    def test_rows_equal_separate_calibration_and_volume_factor(self, tmp_path):
+        rows = self._study(QuantileCache(tmp_path / "q.json"), threads=2)
+        alloc = Allocation(kind="ibs", r=2.0 / 3.0)
+        for row, m in zip(rows, (7, 20)):
+            w = ideal_weights(m, alloc)
+            sq = estimate_alpha(LimitDrawSpec(2, m, tuple(w)), 0.05, 10000, 31)
+            vf = expected_volume_factor(2, m, w, sq, 5000, derive_stream(31, 7_000_000 + m))
+            assert (row.m, row.alpha, row.factor) == (m, sq, vf)
+
+    def test_warm_cache_is_read_not_rewritten(self, tmp_path):
+        path = tmp_path / "q.json"
+        cold = self._study(QuantileCache(path))
+        blob, mtime = path.read_bytes(), path.stat().st_mtime_ns
+        assert self._study(QuantileCache(path), threads=2) == cold
+        assert path.read_bytes() == blob and path.stat().st_mtime_ns == mtime
+
+    @pytest.mark.parametrize("bad", [{"m_list": (7, 2)}, {"det_reps": 0}])
+    def test_bad_cell_raises_before_any_draw(self, tmp_path, bad):
+        path = tmp_path / "q.json"
+        with pytest.raises(ValueError):
+            self._study(QuantileCache(path), **bad)
+        assert not path.exists()
 
 
 class TestDetStudy:
