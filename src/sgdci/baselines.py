@@ -35,7 +35,7 @@ from .calibration import ScalingQuantile, f_quantile, weights_key
 from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
 from .linalg import SymMatrix
 from .sgd import GradientOracle, SgdRunConfig, StepSchedule, single_run
-from .streams import RandomStream, derive_stream
+from .streams import derive_stream
 
 
 @dataclass
@@ -166,7 +166,7 @@ def bmi_infer(
     oracle: GradientOracle,
     T: int,
     delta: float,
-    stream: RandomStream,
+    gen: np.random.Generator,
     schedule: Optional[StepSchedule] = None,
     burn_in: int = 0,
     x0=None,
@@ -179,6 +179,6 @@ def bmi_infer(
     """
     plan = _bmi_plan(T, alloc_r)
     cfg = SgdRunConfig(T=T, burn_in=burn_in, x0=x0, schedule=schedule or StepSchedule())
-    xi, xbar = single_run(oracle, cfg, stream, plan.boundaries)
+    xi, xbar = single_run(oracle, cfg, gen, plan.boundaries)
     summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=oracle.dim)
     return bmi_from_stats(xbar, sample_sigma(summary), plan.m, delta)

@@ -184,14 +184,22 @@ def accumulate(plan: BatchPlan, d: int) -> BatchAccumulator:
 
 
 def summary_from_path(plan: BatchPlan, path: Sequence) -> BatchMeansSummary:
-    """Offline reference: batch means recomputed from a stored path."""
+    """Offline reference: batch means recomputed from a stored path.
+
+    Independent of BatchAccumulator: each batch's sum is a running sum over
+    its slice of the path, in step order (the order the accumulator adds,
+    where a pairwise sum of the slice could differ in the last bits), and
+    xbar is the sum of the batch sums over T.
+    """
     arr = np.asarray(path, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    acc = accumulate(plan, arr.shape[1])
-    for row in arr:
-        acc.feed(row)
-    return acc.finalize()
+    if len(arr) != plan.T:
+        raise FeedCountMismatch(f"plan expects exactly {plan.T} iterates, got {len(arr)}")
+    b = plan.boundaries
+    sums = np.array([np.cumsum(arr[lo:hi], axis=0)[-1] for lo, hi in zip(b[:-1], b[1:])])
+    return BatchMeansSummary(plan=plan, xi=sums / plan.sizes[:, None],
+                             xbar=sums.sum(axis=0) / float(plan.T), d=arr.shape[1])
 
 
 def sample_cov(summary: BatchMeansSummary) -> SymMatrix:

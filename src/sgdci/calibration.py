@@ -49,7 +49,7 @@ from scipy.special import bdtr, bdtrik, betainc
 from .batching import _joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
-from .streams import RandomStream, derive_stream
+from .streams import derive_stream
 
 MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
@@ -134,24 +134,24 @@ def g_of_skeleton(increments, w) -> SymMatrix:
     return SymMatrix(dev.T @ dev / (m - 1))
 
 
-def _draw_skeleton_raw(spec: LimitDrawSpec, stream: RandomStream):
+def _draw_skeleton_raw(spec: LimitDrawSpec, gen: np.random.Generator):
     """One draw's worth of noise: m*d increments then d for Z, in order."""
     m, d = spec.m, spec.d
-    raw = stream.gen.standard_normal(m * d + d)
+    raw = gen.standard_normal(m * d + d)
     sqw = np.sqrt(np.asarray(spec.w))
     D = raw[: m * d].reshape(m, d) * sqw[:, None]
     Z = raw[m * d :]
     return D, Z
 
 
-def simulate_limit_draw(spec: LimitDrawSpec, stream: RandomStream) -> float:
+def simulate_limit_draw(spec: LimitDrawSpec, gen: np.random.Generator) -> float:
     """One draw of m(m-d)/(d(m-1)) * Z^T g^{-1} Z with Z independent of g.
 
     A singular g has probability zero; if the factorization fails the draw
-    is resampled once from the same stream, then DegenerateDraw is raised.
+    is resampled once from the same generator, then DegenerateDraw is raised.
     """
     for attempt in range(2):
-        D, Z = _draw_skeleton_raw(spec, stream)
+        D, Z = _draw_skeleton_raw(spec, gen)
         g = g_of_skeleton(D, spec.w)
         try:
             return quad_form_inv(g, Z) / _joint_constant(spec.d, spec.m)
@@ -205,10 +205,9 @@ def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
     their values, and are then redrawn through simulate_limit_draw from the
     rescue stream (base_seed, 2**32 + chunk_index).
     """
-    stream = derive_stream(base_seed, chunk_index)
     stats = np.empty(n)
     done, scale = 0, _joint_constant(spec.d, spec.m)
-    for G, Z in _gram_blocks(spec, stream.gen, n, with_z=True):
+    for G, Z in _gram_blocks(spec, derive_stream(base_seed, chunk_index), n, with_z=True):
         try:
             sol = np.linalg.solve(G, Z[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -304,7 +303,6 @@ def estimate_alpha(
     reps: int,
     base_seed: int,
     cache: Optional[QuantileCache] = None,
-    force: bool = False,
     threads: int = 1,
 ) -> ScalingQuantile:
     """Empirical (1-delta)-quantile of the limiting statistic.
@@ -315,7 +313,7 @@ def estimate_alpha(
     (d, m, weight digest, delta, reps, base_seed) key.
     """
     key = _alpha_key(spec, delta, reps, base_seed)
-    if cache is not None and not force:
+    if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit

@@ -29,6 +29,9 @@ from .calibration import (
 )
 from .errors import SgdciError
 from .experiments import (
+    DEFAULT_CAL_REPS,
+    DEFAULT_CAL_SEED,
+    DESK_REPLICATIONS,
     METHODS,
     CoverageConfig,
     run_comparison,
@@ -41,7 +44,7 @@ from .experiments import (
 )
 from .inference import build_region, marginal_intervals, region_volume
 from .models import ORACLES, ingest_csv
-from .sgd import SgdRunConfig, StepSchedule, single_run
+from .sgd import DEFAULT_A, DEFAULT_R, SgdRunConfig, StepSchedule, single_run
 from .streams import derive_stream
 
 CACHE_ENV = "SGDCI_CACHE"
@@ -93,9 +96,9 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step-a", type=float, default=0.5,
+    p.add_argument("--step-a", type=float, default=DEFAULT_A,
                    help="step size prefactor a in a * t^(-r)")
-    p.add_argument("--step-r", type=float, default=2.0 / 3.0,
+    p.add_argument("--step-r", type=float, default=DEFAULT_R,
                    help="step size exponent, must lie in (1/2, 1)")
     p.add_argument("--burn-in", type=int, default=0,
                    help="steps discarded before averaging starts")
@@ -108,9 +111,7 @@ def _alloc_from(args) -> Allocation:
         return Allocation(kind="custom", custom_weights=args.weights)
     if args.weights is not None:
         raise ValueError("--weights only applies to --alloc custom")
-    if args.alloc in ("ibs", "dbs"):
-        return Allocation(kind=args.alloc, r=args.r)
-    return Allocation(kind="es")
+    return Allocation(kind=args.alloc, r=args.r)
 
 
 def _cache_from(args):
@@ -155,7 +156,6 @@ def _cmd_calibrate(args) -> int:
         args.reps,
         args.seed,
         cache=_cache_from(args),
-        force=args.no_cache,
         threads=args.threads,
     )
     print(
@@ -200,7 +200,7 @@ def _cmd_infer(args) -> int:
     if args.mode in ("joint", "both"):
         sq = estimate_alpha(
             spec_from_plan(plan, d), args.delta, args.cal_reps, args.seed,
-            cache=cache, force=args.no_cache, threads=args.threads,
+            cache=cache, threads=args.threads,
         )
         region = build_region(summary, sq)
         doc["joint"] = {
@@ -213,7 +213,7 @@ def _cmd_infer(args) -> int:
         sq1 = estimate_alpha(
             LimitDrawSpec(1, plan.m, tuple(plan.weights)), args.delta,
             args.cal_reps, args.seed,
-            cache=cache, force=args.no_cache, threads=args.threads,
+            cache=cache, threads=args.threads,
         )
         iv = marginal_intervals(summary, sq1)
         doc["marginal"] = {
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--m", type=_positive_int, default=None, help="batch count")
     _add_alloc_flags(p_cal)
     p_cal.add_argument("--delta", type=float, default=0.05, help="miss probability")
-    p_cal.add_argument("--reps", type=_positive_int, default=200_000,
+    p_cal.add_argument("--reps", type=_positive_int, default=DEFAULT_CAL_REPS,
                        help="Monte Carlo draws")
     p_cal.add_argument("--seed", type=int, default=0, help="base seed")
     _add_cache_flags(p_cal)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--delta", type=float, default=0.05, help="miss probability")
     p_inf.add_argument("--mode", choices=["joint", "marginal", "both"],
                        default="joint", help="which region document to produce")
-    p_inf.add_argument("--cal-reps", type=_positive_int, default=200_000,
+    p_inf.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS,
                        help="calibration draws")
     p_inf.add_argument("--seed", type=int, default=0, help="calibration seed")
     _add_schedule_flags(p_inf)
@@ -382,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--m", type=_positive_int, required=True)
     _add_alloc_flags(p_cov)
     p_cov.add_argument("--delta", type=float, default=0.05)
-    p_cov.add_argument("--reps", type=_positive_int, default=300,
+    p_cov.add_argument("--reps", type=_positive_int, default=DESK_REPLICATIONS,
                        help="replications")
     p_cov.add_argument("--seed", type=int, default=0)
     _add_schedule_flags(p_cov)
-    p_cov.add_argument("--cal-reps", type=_positive_int, default=200_000)
-    p_cov.add_argument("--cal-seed", type=int, default=1_000_003)
+    p_cov.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS)
+    p_cov.add_argument("--cal-seed", type=int, default=DEFAULT_CAL_SEED)
     _add_cache_flags(p_cov)
     p_cov.add_argument("--config", default=None, help="JSON file of flag defaults")
     p_cov.add_argument("--out", default=None, help="CSV artifact path")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated batch counts")
     _add_alloc_flags(p_vol)
     p_vol.add_argument("--delta", type=float, default=0.05)
-    p_vol.add_argument("--reps", type=_positive_int, default=200_000,
+    p_vol.add_argument("--reps", type=_positive_int, default=DEFAULT_CAL_REPS,
                        help="calibration draws per cell")
     p_vol.add_argument("--det-reps", type=_positive_int, default=None,
                        help="determinant draws per cell (default: --reps)")
@@ -433,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--m", type=_positive_int, required=True)
     _add_alloc_flags(p_cmp)
     p_cmp.add_argument("--delta", type=float, default=0.05)
-    p_cmp.add_argument("--reps", type=_positive_int, default=300,
+    p_cmp.add_argument("--reps", type=_positive_int, default=DESK_REPLICATIONS,
                        help="replications per method")
     p_cmp.add_argument("--seed", type=int, default=0)
     _add_schedule_flags(p_cmp)
-    p_cmp.add_argument("--cal-reps", type=_positive_int, default=200_000)
+    p_cmp.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS)
     _add_cache_flags(p_cmp)
     p_cmp.add_argument("--config", default=None, help="JSON file of flag defaults")
     p_cmp.add_argument("--out", default=None, help="CSV artifact path")
@@ -460,7 +460,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
 
     Keys must name flags of the invoked subcommand (underscore form); any
     other key, a typo or another subcommand's flag, is a usage error of that
-    subcommand, so it cannot silently vanish. Command-line flags still win.
+    subcommand, so it cannot silently vanish. Each value passes its flag's
+    type and choices checks as the flag's command-line text would (a list
+    as comma-separated text, a switch as true or false); null keeps a flag
+    whose default is None unset. Command-line flags still win.
     """
     parser = _invoked_parser(parser, args)
     path = args.config
@@ -471,15 +474,25 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"cannot read config {path}: {e}")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
-    known = set(vars(args)) - {"func", "config", "command", "study"}
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     cleaned = {}
-    for key, val in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+    for key, raw in overrides.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"config {path}: unknown flag {key!r}")
-        if isinstance(val, list):
-            val = tuple(val)
-        cleaned[dest] = val
+        val, ok = raw, True
+        if action.nargs == 0:
+            ok = isinstance(raw, bool)
+        elif raw is not None or action.default is not None:
+            text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
+            try:
+                val = action.type(text) if action.type else text
+                ok = action.choices is None or val in action.choices
+            except (ValueError, argparse.ArgumentTypeError):
+                ok = False
+        if not ok:
+            parser.error(f"config {path}: invalid value {raw!r} for {key!r}")
+        cleaned[action.dest] = val
     parser.set_defaults(**cleaned)
 
 

@@ -76,7 +76,7 @@ METHODS = (
 def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int) -> list:
     """Step R chains once, chain r on stream (base_seed, r); one list of
     BatchMeansSummary per plan, one summary per chain."""
-    gens = [derive_stream(base_seed, rep).gen for rep in range(R)]
+    gens = [derive_stream(base_seed, rep) for rep in range(R)]
     return [
         [BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
          for r in range(R)]
@@ -167,7 +167,7 @@ def _trajectory(cfg: CoverageConfig, plans) -> list:
     sections = plan.m
     sec_T = plan.T // sections
     gens = [
-        derive_stream(cfg.base_seed, rep, j).gen
+        derive_stream(cfg.base_seed, rep, j)
         for rep in range(R)
         for j in range(sections)
     ]

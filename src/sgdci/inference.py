@@ -31,7 +31,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .linalg import SymMatrix, cholesky, det_sqrt, quad_form_inv
-from .streams import RandomStream
 
 
 def unit_ball_volume(d: int) -> float:
@@ -145,7 +144,7 @@ def expected_volume_factor(
     w,
     alpha: ScalingQuantile,
     reps: int,
-    stream: RandomStream,
+    gen: np.random.Generator,
 ) -> VolumeFactor:
     """v_d = (d(m-1)/(m(m-d)))^{d/2} * E[det(g)^{1/2}] * alpha^{d/2}.
 
@@ -157,14 +156,14 @@ def expected_volume_factor(
     _check_key(alpha, d, m, spec.w)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    return _volume_factor(d, m, alpha, _det_sqrts(spec, reps, stream))
+    return _volume_factor(d, m, alpha, _det_sqrts(spec, reps, gen))
 
 
-def _det_sqrts(spec: LimitDrawSpec, reps: int, stream: RandomStream) -> np.ndarray:
-    """det(g)^{1/2} of reps skeleton draws from stream; 0 where det(g) <= 0."""
+def _det_sqrts(spec: LimitDrawSpec, reps: int, gen: np.random.Generator) -> np.ndarray:
+    """det(g)^{1/2} of reps skeleton draws from gen; 0 where det(g) <= 0."""
     dets = np.empty(reps)
     done = 0
-    for G, _ in _gram_blocks(spec, stream.gen, reps, with_z=False):
+    for G, _ in _gram_blocks(spec, gen, reps, with_z=False):
         sign, logdet = np.linalg.slogdet(G)
         dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
         done += len(G)

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteIterate, OracleDimensionMismatch
-from .streams import RandomStream
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
@@ -57,9 +56,9 @@ class GradientOracle:
     draw: Callable[[np.random.Generator, int], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def next_gradient(self, x, stream: RandomStream) -> np.ndarray:
-        """One step's gradient at x, shape (dim,), drawing from stream."""
-        return self.gradient(np.asarray(x, dtype=float)[None], self.draw(stream.gen, 1))[0]
+    def next_gradient(self, x, gen: np.random.Generator) -> np.ndarray:
+        """One step's gradient at x, shape (dim,), drawing from gen."""
+        return self.gradient(np.asarray(x, dtype=float)[None], self.draw(gen, 1))[0]
 
 
 @dataclass
@@ -150,18 +149,18 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
             for (plan_sums, _), b in zip(batched, bounds)]
 
 
-def single_run(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
+def single_run(oracle: GradientOracle, config: SgdRunConfig, gen: np.random.Generator,
                boundaries, observer: Optional[Callable[[np.ndarray], None]] = None):
-    """run_chains on one stream: xi (m, d) and xbar (d,); a divergence
+    """run_chains on one generator: xi (m, d) and xbar (d,); a divergence
     raises NonFiniteIterate with replication None."""
     try:
-        ((xi, xbar),) = run_chains(oracle, config, [stream.gen], [boundaries], observer)
+        ((xi, xbar),) = run_chains(oracle, config, [gen], [boundaries], observer)
     except NonFiniteIterate as e:
         raise NonFiniteIterate(e.t) from None
     return xi[:, 0], xbar[0]
 
 
-def run_sgd(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
+def run_sgd(oracle: GradientOracle, config: SgdRunConfig, gen: np.random.Generator,
             observer: Optional[Callable[[np.ndarray], None]] = None) -> np.ndarray:
     """Run burn_in + T steps, delivering the last T iterates to observer.
 
@@ -177,5 +176,5 @@ def run_sgd(oracle: GradientOracle, config: SgdRunConfig, stream: RandomStream,
         if observer is not None:
             observer(x[0])
 
-    single_run(oracle, config, stream, [0, config.T], see)
+    single_run(oracle, config, gen, [0, config.T], see)
     return last[0]

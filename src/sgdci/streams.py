@@ -4,6 +4,7 @@ A stream is identified by its lineage: a base seed plus an index path. The
 same lineage always reproduces the same draw sequence, and distinct index
 paths give statistically independent streams, so replicated experiments can
 be farmed out across threads in any order without changing a single draw.
+A stream is a numpy Generator, and every function that draws takes one.
 """
 
 from __future__ import annotations
@@ -13,26 +14,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-class RandomStream:
-    """Single-owner wrapper around a deterministic bit generator."""
-
-    __slots__ = ("gen", "lineage")
-
-    def __init__(self, gen: np.random.Generator, lineage: tuple):
-        self.gen = gen
-        self.lineage = lineage
-
-    def standard_normal(self, *shape) -> np.ndarray:
-        return self.gen.standard_normal(shape if shape else None)
-
-    def uniform(self, n: int) -> np.ndarray:
-        return self.gen.random(n)
-
-    def __repr__(self):
-        return f"RandomStream(lineage={self.lineage})"
-
-
-def derive_stream(base_seed: int, *indices: int) -> RandomStream:
+def derive_stream(base_seed: int, *indices: int) -> np.random.Generator:
     """Build the stream for (base_seed, *indices).
 
     Index paths are hashed through a seed sequence, so any two distinct
@@ -47,5 +29,4 @@ def derive_stream(base_seed: int, *indices: int) -> RandomStream:
     """
     path = tuple(int(i) & _MASK64 for i in (base_seed, *indices))
     entropy = (path[0], len(indices)) + path[1:]
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return RandomStream(gen, path)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

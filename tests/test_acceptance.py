@@ -139,7 +139,7 @@ def test_check_3_rank_threshold_of_limit_matrix(acceptance_log):
     for d in (1, 2, 5, 10):
         for m in sorted({max(1, d // 2), d, d + 1}):
             w = np.full(m, 1.0 / m)
-            gen = derive_stream(424242, d, m).gen
+            gen = derive_stream(424242, d, m)
             dets = np.empty(draws)
             for k in range(draws):
                 incr = np.sqrt(w)[:, None] * gen.standard_normal((m, d))
@@ -254,7 +254,7 @@ def test_check_8_exact_identities(acceptance_log):
     notes = []
 
     # streaming accumulation reproduces the offline batch means bit for bit
-    gen = derive_stream(8080).gen
+    gen = derive_stream(8080)
     path = [gen.standard_normal(3) for _ in range(300)]
     for kind in ("es", "ibs", "dbs"):
         plan = make_plan(300, 6, Allocation(kind=kind))
@@ -271,7 +271,7 @@ def test_check_8_exact_identities(acceptance_log):
 
     # at d = 1 the joint region is exactly the marginal interval
     plan = make_plan(100, 10, Allocation(kind="ibs"))
-    s = summary_from_path(plan, list(derive_stream(8081).gen.standard_normal(100)))
+    s = summary_from_path(plan, list(derive_stream(8081).standard_normal(100)))
     q = ScalingQuantile(alpha_hat=2.5, ci_low=2.5, ci_high=2.5, delta=0.05,
                         reps=10**4,
                         key=(1, 10, weights_key(plan.weights), 0.05, 10**4, 0))
@@ -285,7 +285,7 @@ def test_check_8_exact_identities(acceptance_log):
 
     # translation and affine equivariance of the two covariance kernels,
     # using singleton batches so the batch means are the raw rows
-    gen = derive_stream(8082).gen
+    gen = derive_stream(8082)
     xi = gen.standard_normal((7, 3))
     G = gen.standard_normal((3, 3))
     t = gen.standard_normal(3)

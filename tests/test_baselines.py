@@ -42,8 +42,8 @@ def test_bmi_joint_band_widens_with_dimension():
 
 def test_bmi_infer_deterministic():
     params = linspace_params(2)
-    a = bmi_infer(linear_oracle(params), T=4000, delta=0.05, stream=derive_stream(7))
-    b = bmi_infer(linear_oracle(params), T=4000, delta=0.05, stream=derive_stream(7))
+    a = bmi_infer(linear_oracle(params), T=4000, delta=0.05, gen=derive_stream(7))
+    b = bmi_infer(linear_oracle(params), T=4000, delta=0.05, gen=derive_stream(7))
     assert np.array_equal(a.center, b.center)
     assert a.m_n == b.m_n == bmi_batch_count(4000)
 
@@ -51,7 +51,7 @@ def test_bmi_infer_deterministic():
 def test_bmi_infer_minimum_run_length():
     params = linspace_params(1)
     with pytest.raises(ValueError):
-        bmi_infer(linear_oracle(params), T=15, delta=0.05, stream=derive_stream(8))
+        bmi_infer(linear_oracle(params), T=15, delta=0.05, gen=derive_stream(8))
 
 
 def test_width_comparison_predicate():

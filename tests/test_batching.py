@@ -166,7 +166,7 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("kind", ["es", "ibs", "dbs"])
     def test_streaming_equals_offline(self, kind):
-        gen = derive_stream(808).gen
+        gen = derive_stream(808)
         plan = make_plan(137, 5, Allocation(kind=kind, r=0.7))
         path = [gen.standard_normal(3) for _ in range(137)]
         acc = accumulate(plan, 3)
@@ -194,7 +194,7 @@ class TestAccumulate:
 
     def test_weighted_mean_identity(self):
         # xbar must equal sum_i (b_i / T) Xi_i for every plan
-        gen = derive_stream(5150).gen
+        gen = derive_stream(5150)
         plan = make_plan(211, 7, Allocation(kind="ibs", r=2.0 / 3.0))
         acc = accumulate(plan, 2)
         for _ in range(211):
@@ -230,7 +230,7 @@ class TestSampleCov:
         assert np.allclose(S.entries, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_translation_invariance(self):
-        gen = derive_stream(33).gen
+        gen = derive_stream(33)
         plan = make_plan(60, 6, Allocation(kind="es"))
         path = [gen.standard_normal(2) for _ in range(60)]
         shift = np.array([10.0, -4.0])
@@ -239,7 +239,7 @@ class TestSampleCov:
         assert np.allclose(S0.entries, S1.entries, atol=1e-12)
 
     def test_affine_equivariance(self):
-        gen = derive_stream(34).gen
+        gen = derive_stream(34)
         plan = make_plan(60, 6, Allocation(kind="es"))
         path = [gen.standard_normal(2) for _ in range(60)]
         G = np.array([[2.0, 1.0], [0.0, -1.0]])
@@ -248,7 +248,7 @@ class TestSampleCov:
         assert np.allclose(S1.entries, G @ S0.entries @ G.T, atol=1e-10)
 
     def test_sigma_is_root_of_the_diagonal(self):
-        gen = derive_stream(35).gen
+        gen = derive_stream(35)
         plan = make_plan(60, 6, Allocation(kind="ibs"))
         s = summary_from_path(plan, [gen.standard_normal(3) for _ in range(60)])
         diag = np.diag(sample_cov(s).entries)

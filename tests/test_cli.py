@@ -172,6 +172,22 @@ class TestConfigFile:
             assert "usage: sgdci calibrate" in err, keys
             assert "unknown flag" in err, keys
 
+    def test_config_values_pass_their_flags_checks(self, tmp_path, capsys):
+        # an unknown allocation or mode, and a zero thread cap, are usage
+        # errors as they are on the command line
+        data = tmp_path / "data.csv"
+        _write_linear_csv(data)
+        cfg = tmp_path / "defaults.json"
+        for keys in ({"alloc": "bogus"}, {"mode": "bogus"}, {"threads": 0}):
+            cfg.write_text(json.dumps(keys))
+            with pytest.raises(SystemExit) as exc:
+                main(["infer", "--data", str(data), "--model", "linear", "--m", "10",
+                      "--cal-reps", "10000", "--config", str(cfg), "--no-cache"])
+            assert exc.value.code == 2, keys
+            err = capsys.readouterr().err
+            assert "usage: sgdci infer" in err, keys
+            assert "invalid value" in err, keys
+
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["calibrate", "--d", "1", "--m", "8",

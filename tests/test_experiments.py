@@ -54,7 +54,7 @@ class TestChainEngine:
         seeds = [(42, 0, j) for j in range(4)]
         xi_ref, xbar_ref, plan = _serial_batch_stats(model, d, T, m, 0, seeds)
         params = linspace_params(d)
-        gens = [derive_stream(*s).gen for s in seeds]
+        gens = [derive_stream(*s) for s in seeds]
         factory = linear_oracle if model == "linear" else logistic_oracle
         xi, xbar = run_chains(factory(params), SgdRunConfig(T=T), gens, [plan.boundaries])[0]
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
@@ -65,7 +65,7 @@ class TestChainEngine:
         seeds = [(43, j) for j in range(3)]
         xi_ref, xbar_ref, plan = _serial_batch_stats("linear", d, T, m, burn, seeds)
         params = linspace_params(d)
-        gens = [derive_stream(*s).gen for s in seeds]
+        gens = [derive_stream(*s) for s in seeds]
         xi, xbar = run_chains(linear_oracle(params), SgdRunConfig(T=T, burn_in=burn), gens,
                               [plan.boundaries])[0]
         assert np.allclose(xi, xi_ref, rtol=0, atol=1e-12)
@@ -164,8 +164,7 @@ class TestSingleRunAgreement:
                 quad = quad_form_inv(res.region.shape, res.region.center - x_star)
                 return contains(res.region, x_star), quad
             return _band(res.intervals.lo, res.intervals.hi, x_star, joint)
-        stream = derive_stream(self.seed, 0)
-        res = bmi_infer(factory(params), self.T, self.delta, stream=stream)
+        res = bmi_infer(factory(params), self.T, self.delta, gen=derive_stream(self.seed, 0))
         if joint:
             return _band(res.joint_lo, res.joint_hi, x_star, joint)
         return _band(res.marginal_lo, res.marginal_hi, x_star, joint)

@@ -110,7 +110,7 @@ class TestBuildRegion:
         s = scalar_summary()
         wide = build_region(s, manual_quantile(6.0, 1, 2, s.plan.weights, delta=0.01))
         narrow = build_region(s, manual_quantile(4.0, 1, 2, s.plan.weights))
-        gen = derive_stream(404).gen
+        gen = derive_stream(404)
         for _ in range(50):
             x = np.array([gen.uniform(-2.0, 6.0)])
             if contains(narrow, x):
@@ -124,7 +124,7 @@ class TestRegionVolume:
         assert region_volume(region) == pytest.approx(4.0)
 
     def test_matches_ellipsoid_formula(self):
-        gen = derive_stream(405).gen
+        gen = derive_stream(405)
         plan = make_plan(40, 8, Allocation(kind="ibs", r=2.0 / 3.0))
         s = summary_from_path(plan, [gen.standard_normal(2) for _ in range(40)])
         region = build_region(s, manual_quantile(1.7, 2, 8, plan.weights))
@@ -162,7 +162,7 @@ class TestMarginalIntervals:
             marginal_intervals(s, manual_quantile(4.0, 1, 4, (0.25,) * 4))
 
     def test_joint_equals_marginal_at_d1(self):
-        gen = derive_stream(406).gen
+        gen = derive_stream(406)
         plan = make_plan(100, 10, Allocation(kind="ibs", r=2.0 / 3.0))
         s = summary_from_path(plan, list(gen.standard_normal(100)))
         q = manual_quantile(2.5, 1, 10, plan.weights)

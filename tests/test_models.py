@@ -43,7 +43,7 @@ class TestGradients:
         assert g[0] == pytest.approx(-1.0)
 
     def test_logistic_norm_bound(self):
-        gen = derive_stream(200).gen
+        gen = derive_stream(200)
         for _ in range(50):
             a = gen.standard_normal(3)
             x = gen.standard_normal(3)
@@ -81,7 +81,7 @@ class TestOracles:
         live, mirror = derive_stream(203), derive_stream(203)
         labels = np.empty(10**5)
         for i in range(10**5):
-            n = mirror.gen.standard_normal(2)
+            n = mirror.standard_normal(2)
             g = oracle.next_gradient(np.zeros(1), live)
             labels[i] = -2.0 * g[0] / n[0]
         assert np.allclose(np.abs(labels), 1.0)

@@ -146,14 +146,14 @@ def test_averaged_iterate_lands_near_target():
     assert float(np.linalg.norm(summary.xbar - params.x_star)) < 0.05
 
 
-def _reference_batch_means(model, x_star, cfg, boundaries, stream):
+def _reference_batch_means(model, x_star, cfg, boundaries, gen):
     """A plain per-step loop, independent of the package's driver and
     gradients: one standard_normal(d + 1) draw per step, batch sums by hand."""
     d, ends = len(x_star), boundaries[1:]
     x = np.array(cfg.x0, dtype=float)
     sums, k = np.zeros((len(ends), d)), 0
     for t in range(1, cfg.burn_in + cfg.T + 1):
-        z = stream.gen.standard_normal(d + 1)
+        z = gen.standard_normal(d + 1)
         a = z[:d]
         if model == "linear":
             g = -2.0 * (a @ x_star + z[d] - a @ x) * a
@@ -176,7 +176,7 @@ class TestDriverReference:
         oracle = (linear_oracle if model == "linear" else logistic_oracle)(params)
         cfg = SgdRunConfig(T=self.plan.T, burn_in=23, x0=np.array([0.3, -0.4]))
         lineages = [(61, j) for j in range(3)]
-        xi, xbar = run_chains(oracle, cfg, [derive_stream(*s).gen for s in lineages],
+        xi, xbar = run_chains(oracle, cfg, [derive_stream(*s) for s in lineages],
                               [self.plan.boundaries])[0]
         for j, s in enumerate(lineages):
             xi_ref, xbar_ref = _reference_batch_means(
@@ -187,7 +187,7 @@ class TestDriverReference:
     def test_one_chain_equals_run_sgd_with_accumulator(self):
         oracle = logistic_oracle(linspace_params(3))
         cfg = SgdRunConfig(T=self.plan.T, burn_in=7)
-        xi, xbar = run_chains(oracle, cfg, [derive_stream(62).gen], [self.plan.boundaries])[0]
+        xi, xbar = run_chains(oracle, cfg, [derive_stream(62)], [self.plan.boundaries])[0]
         acc = accumulate(self.plan, 3)
         run_sgd(oracle, cfg, derive_stream(62), acc.feed)
         summary = acc.finalize()
@@ -214,7 +214,7 @@ class TestSeveralPlans:
         cfg = SgdRunConfig(T=self.T, burn_in=burn_in)
 
         def gens():
-            return [derive_stream(63, j).gen for j in range(3)]
+            return [derive_stream(63, j) for j in range(3)]
 
         shared = run_chains(oracle, cfg, gens(), self.plans)
         assert len(shared) == len(self.plans)
@@ -228,5 +228,5 @@ class TestSeveralPlans:
     def test_every_plan_must_span_the_run(self, bad):
         oracle = linear_oracle(linspace_params(2))
         with pytest.raises(ValueError, match="must run from 0 to T=500"):
-            run_chains(oracle, SgdRunConfig(T=self.T), [derive_stream(64).gen],
+            run_chains(oracle, SgdRunConfig(T=self.T), [derive_stream(64)],
                        [self.plans[0], bad])
