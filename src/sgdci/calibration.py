@@ -15,10 +15,10 @@ volume study (experiments.run_volume_study) runs the chunks and the
 determinant pass of neighbouring batch counts side by side on one pool,
 each on its own stream. The chunk is not the unit of memory: _gram_blocks
 walks a chunk, and the determinant pass of the volume factor, in blocks of
-about 4 MB of normals, reducing each block to its Gram matrices in place
-while it is in cache, so a worker holds one block at a time whatever the
-chunk size or thread count. The batched route forms every G by the same
-matmuls and every statistic as
+about 512 KB of normals, reducing each block to its Gram matrices in place
+while the block and its centering temporary fit in a core's L2 cache, so a
+worker holds one block at a time whatever the chunk size or thread count.
+The batched route forms every G by the same matmuls and every statistic as
 Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
 uses, at every d. The per-draw route (simulate_limit_draw) decides through
 linalg's one positive-definiteness rule; it redraws the probability-zero
@@ -55,9 +55,9 @@ MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
 _F_TOL = 1e-8
 _RESCUE_OFFSET = 1 << 32
-# Doubles of noise per block of _gram_blocks (4 MB): the peak memory of one
-# worker, small enough to stay in cache while the block is reduced to G.
-_BLOCK_DOUBLES = 1 << 19
+# Doubles of noise per block of _gram_blocks (512 KB), the peak memory of one
+# worker: of the sizes 2^15..2^19 that ran fastest, the smallest (BENCH_11.json).
+_BLOCK_DOUBLES = 1 << 16
 # Version of the route from a stream to a statistic (draw layout, skeleton
 # arithmetic, statistic). Bump it whenever a calibrated value can change,
 # even in its last bits, so QuantileCache never serves an older route's value.
@@ -172,26 +172,28 @@ def _chunk_size(spec: LimitDrawSpec) -> int:
 
 
 def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: bool):
-    """Yield (G, Z) for n skeleton draws from gen, in blocks of about 4 MB.
+    """Yield (G, Z) for n skeleton draws from gen, in blocks of about 512 KB.
 
     Each draw takes m*d standard normals for the increments (batch-major)
     and, if with_z, d more for Z; drawing block by block consumes exactly
     the normals of one (n, m*d [+ d]) call. G (b, d, d) is g_of_skeleton of
     each draw, formed in place over the block's normals; Z is None without
-    with_z.
+    with_z. Every block is drawn into one buffer, so a yielded Z is valid
+    only until the next block is drawn; G is the caller's to keep.
     """
     m, d = spec.m, spec.d
     width = m * d + (d if with_z else 0)
     rows = max(16, _BLOCK_DOUBLES // (m * d + d))
     sqw = np.sqrt(np.asarray(spec.w))
     sqw_flat = np.repeat(sqw, d)  # sqrt(w_i) at each of batch i's d normals
+    buf = np.empty((min(rows, n), width))
     for start in range(0, n, rows):
-        raw = gen.standard_normal((min(rows, n - start), width))
+        raw = gen.standard_normal(out=buf[: min(rows, n - start)])
         flat = raw[:, : m * d]
         N = flat.reshape(-1, m, d)
         b1 = np.matmul(sqw, N)  # B(1), the increments' sum
         flat /= sqw_flat  # batch slopes D_i / w_i
-        N -= b1[:, None, :]
+        flat -= np.tile(b1, (1, m))  # one m*d-long inner loop, not m of length d
         G = np.matmul(N.transpose(0, 2, 1), N)
         G /= m - 1
         yield G, (raw[:, m * d :] if with_z else None)
@@ -303,25 +305,31 @@ def estimate_alpha(
     reps: int,
     base_seed: int,
     cache: Optional[QuantileCache] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> ScalingQuantile:
     """Empirical (1-delta)-quantile of the limiting statistic.
 
     Returns the order statistic of rank ceil((1-delta)*reps) over reps
     independent draws, with a 95% binomial order-statistic confidence
     interval. Results are cached under the exact
-    (d, m, weight digest, delta, reps, base_seed) key.
+    (d, m, weight digest, delta, reps, base_seed) key. The chunks run on
+    `threads` workers (None: every core); the result does not depend on it.
     """
     key = _alpha_key(spec, delta, reps, base_seed)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
         sq = _order_statistics(key, _submit_chunks(pool, spec, reps, base_seed))
     if cache is not None:
         cache.put(sq)
     return sq
+
+
+def _worker_count(threads: Optional[int]) -> int:
+    """The pool size a threads argument names: None means every core."""
+    return (os.cpu_count() or 1) if threads is None else threads
 
 
 def _alpha_key(spec: LimitDrawSpec, delta: float, reps: int, base_seed: int) -> tuple:

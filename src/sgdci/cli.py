@@ -6,9 +6,9 @@ the full effective configuration, so it can be regenerated byte-for-byte
 from its own header.
 
 A JSON config file passed with --config supplies defaults for any flag of
-the invoked subcommand (keys use underscores, e.g. "cal_reps"); flags given
-on the command line win. The environment variable SGDCI_CACHE supplies a
-quantile cache path when --cache is absent.
+the invoked subcommand, a required one included (keys use underscores,
+e.g. "cal_reps"); flags given on the command line win. The environment
+variable SGDCI_CACHE supplies a quantile cache path when --cache is absent.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .batching import ALLOCATION_KINDS, Allocation, BatchMeansSummary, ideal_wei
 from .calibration import (
     LimitDrawSpec,
     QuantileCache,
+    _worker_count,
     estimate_alpha,
     spec_from_plan,
 )
@@ -91,7 +92,7 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help=f"quantile cache file (default: ${CACHE_ENV} if set)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore any cache and recompute")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive_int, default=_worker_count(None),
                    help="worker thread cap; results do not depend on it")
 
 
@@ -446,27 +447,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invoked_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
-    """The subcommand parser args were parsed by (e.g. that of experiment volume)."""
-    while True:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            return parser
-        parser = subs[0].choices[getattr(args, subs[0].dest)]
+def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
+    """Install the --config JSON object named in argv as defaults of its flags.
 
-
-def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
-    """Install the --config JSON object as defaults of the flags it names.
-
-    Keys must name flags of the invoked subcommand (underscore form); any
-    other key, a typo or another subcommand's flag, is a usage error of that
-    subcommand, so it cannot silently vanish. Each value passes its flag's
-    type and choices checks as the flag's command-line text would (a list
-    as comma-separated text, a switch as true or false); null keeps a flag
-    whose default is None unset. Command-line flags still win.
+    The root parser has no options of its own, so the invoked subcommand is
+    argv[0], plus argv[1] under experiment. Keys must name flags of that
+    subcommand (underscore form); any other key, a typo or another
+    subcommand's flag, is a usage error of that subcommand, so it cannot
+    silently vanish. Each value passes its flag's type and choices checks as
+    the flag's command-line text would (a list as comma-separated text, a
+    switch as true or false); null keeps a flag whose default is None unset.
+    A flag the config sets is no longer required on the command line, and
+    command-line flags still win.
     """
-    parser = _invoked_parser(parser, args)
-    path = args.config
+    for word in argv[:2]:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].choices[word]
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config without a value: parse_args reports it
+        return
+    if path is None or not any(a.dest == "config" for a in parser._actions):
+        return
     try:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -493,15 +499,15 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, args) -> None:
         if not ok:
             parser.error(f"config {path}: invalid value {raw!r} for {key!r}")
         cleaned[action.dest] = val
+        action.required = action.required and val is None
     parser.set_defaults(**cleaned)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    _apply_config_defaults(parser, argv)
     args = parser.parse_args(argv)
-    if args.config is not None:
-        _apply_config_defaults(parser, args)
-        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (SgdciError, ValueError, OSError) as e:

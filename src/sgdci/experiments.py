@@ -43,6 +43,7 @@ from .calibration import (
     _alpha_key,
     _order_statistics,
     _submit_chunks,
+    _worker_count,
     estimate_alpha,
     spec_from_plan,
 )
@@ -250,7 +251,7 @@ def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
 def run_coverage(
     config: CoverageConfig,
     cache: Optional[QuantileCache] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> CoverageReport:
     """Estimate the coverage rate of one method under one configuration.
 
@@ -290,18 +291,18 @@ def run_volume_study(
     base_seed: int,
     det_reps: Optional[int] = None,
     cache: Optional[QuantileCache] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> list:
     """Volume factor v_d(m, w) across batch counts, with standard errors.
 
     Row i holds what estimate_alpha (with this cache and base_seed) and
     expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
     batch count m_list[i]; every cell is checked before the first draw.
-    All draws run on one pool of `threads` workers: the next cell's
-    calibration chunks and determinant pass are submitted before this cell
-    is decided on the calling thread, which writes the cache in m order, so
-    at most two cells' draws are held at once. A cache hit submits no
-    calibration chunks.
+    All draws run on one pool of `threads` workers (None: every core): the
+    next cell's calibration chunks and determinant pass are submitted before
+    this cell is decided on the calling thread, which writes the cache in m
+    order, so at most two cells' draws are held at once. A cache hit submits
+    no calibration chunks.
     """
     det_n = det_reps if det_reps is not None else reps
     if det_n < 1:
@@ -332,7 +333,7 @@ def run_volume_study(
         )
 
     rows, ahead = [], []
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=_worker_count(threads))
     try:
         for cell in cells:
             ahead.append(submit(*cell))
@@ -424,7 +425,7 @@ def run_comparison(
     burn_in: int = 0,
     cal_reps: int = DEFAULT_CAL_REPS,
     cache: Optional[QuantileCache] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> list:
     """All methods on one problem at an identical iteration budget.
 

@@ -20,7 +20,6 @@ from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
 from sgdci.calibration import (
     LimitDrawSpec,
     QuantileCache,
-    ScalingQuantile,
     _binom_ppf,
     _chunk_size,
     _eval_chunk,
@@ -32,7 +31,7 @@ from sgdci.calibration import (
     weights_key,
 )
 from sgdci.errors import DimensionMismatch
-from sgdci.inference import expected_volume_factor
+from sgdci.inference import _det_sqrts
 from sgdci.linalg import det_sqrt
 from sgdci.streams import derive_stream
 
@@ -191,20 +190,17 @@ class TestEstimateAlpha:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_block_size_does_not_change_results(self, d, monkeypatch):
+        # n draws span two blocks and part of a third at the largest size
         w = ideal_weights(d + 9, Allocation(kind="ibs", r=2.0 / 3.0))
         spec = LimitDrawSpec(d, d + 9, tuple(w))
-        alpha = ScalingQuantile(1.0, 0.9, 1.1, 0.05, 10**4,
-                                (d, spec.m, weights_key(w), 0.05, 10**4, 0))
-
-        def run():
-            vol = expected_volume_factor(d, spec.m, w, alpha, 300, derive_stream(3))
-            return _eval_chunk(spec, 300, 2, 8), vol.e_det_sqrt, vol.se_det_sqrt
-
-        one_block = run()
-        monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
-        many_blocks = run()
-        assert np.array_equal(one_block[0], many_blocks[0])
-        assert one_block[1:] == many_blocks[1:]
+        n = 2 * (2**19 // (spec.m * d + d)) + 5
+        results = []
+        for size in (64, 2**15, calibration._BLOCK_DOUBLES, 2**19):  # 64: 16-draw blocks
+            monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", size)
+            results.append((_eval_chunk(spec, n, 2, 8), _det_sqrts(spec, n, derive_stream(3))))
+        for stats, dets in results[1:]:
+            assert np.array_equal(stats, results[0][0])
+            assert np.array_equal(dets, results[0][1])
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_singular_draw_is_rescued(self, d, monkeypatch):
@@ -238,7 +234,7 @@ class TestEstimateAlpha:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("reps", [10**4, 3 * 10**4 + 7, 10**5, 10**6, 10**7])
     def test_order_statistic_ranks_match_scipy(self, reps):

@@ -11,7 +11,7 @@ import pytest
 
 from sgdci.batching import Allocation, ideal_weights
 from sgdci.calibration import QuantileCache, ScalingQuantile, weights_key
-from sgdci.cli import main
+from sgdci.cli import build_parser, main
 
 
 def _write_linear_csv(path, n=400, d=2, seed=3):
@@ -212,6 +212,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "usage: sgdci experiment volume" in err
         assert message in err
+
+    @pytest.mark.parametrize("command, config", [
+        (["calibrate"], {"d": 1, "m": 8, "reps": 10000}),
+        (["infer"], {"data": "data.csv", "model": "linear", "m": 10, "cal_reps": 10000}),
+        (["experiment", "coverage"],
+         {"model": "linear", "d": 1, "T": 300, "m": 6, "reps": 4, "cal_reps": 10000}),
+        (["experiment", "volume"], {"d": 1, "m_list": [8], "reps": 10000, "det_reps": 500}),
+        (["experiment", "detcov"], {"model": "linear", "d": 2, "m": 4, "T": 300, "reps": 5}),
+        (["compare"], {"model": "linear", "d": 1, "T": 300, "m": 6, "reps": 4,
+                       "cal_reps": 10000}),
+    ])
+    def test_config_supplies_required_flags(self, tmp_path, monkeypatch, command, config):
+        monkeypatch.delenv("SGDCI_CACHE", raising=False)
+        parser = build_parser()
+        for word in command:
+            parser = next(a for a in parser._actions if a.dest in ("command", "study")
+                          ).choices[word]
+        required = {a.dest for a in parser._actions if a.required}
+        assert required <= set(config), required - set(config)
+        if "data" in config:
+            config = dict(config, data=str(tmp_path / config["data"]))
+            _write_linear_csv(config["data"])
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*command, "--config", str(cfg)]) == 0
 
     def test_config_supplies_nested_study_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.json"

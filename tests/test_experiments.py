@@ -453,6 +453,20 @@ class TestComparison:
         )
         assert all(not isinstance(r, FailedCell) for r in out)
 
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        # cold caches and three calibration chunks per quantile, so the
+        # calibrations run on one and on three workers
+        sigs = []
+        for threads in (1, 3):
+            out = run_comparison(
+                model="linear", d=2, T=600, m=8, alloc=Allocation(kind="ibs", r=2.0 / 3.0),
+                delta=0.05, replications=6, base_seed=12, cal_reps=140000,
+                cache=QuantileCache(tmp_path / f"q{threads}.json"), threads=threads,
+            )
+            assert not any(isinstance(r, FailedCell) for r in out)
+            sigs.append([r.signature() for r in out])
+        assert sigs[0] == sigs[1]
+
 
 class TestCsvWriters:
     def test_coverage_csv_round_trip(self, tmp_path):
