@@ -5,10 +5,14 @@ type), 2 on a usage error. Every artifact written by a subcommand embeds
 the full effective configuration, so it can be regenerated byte-for-byte
 from its own header.
 
-A JSON config file passed with --config supplies defaults for any flag of
-the invoked subcommand, a required one included (keys use underscores,
-e.g. "cal_reps"); flags given on the command line win. The environment
-variable SGDCI_CACHE supplies a quantile cache path when --cache is absent.
+Every flag is declared once, in FLAGS; each subcommand in COMMANDS lists
+its flags and only the keywords, such as help text or default, in which it
+differs, and every parser is built from the two. A JSON config file passed
+with --config supplies defaults for any flag of the invoked subcommand, a
+required one included (keys use underscores, e.g. "cal_reps"), and is
+checked against that subcommand's flags; flags given on the command line
+win. The environment variable SGDCI_CACHE supplies a quantile cache path
+when --cache is absent.
 """
 
 from __future__ import annotations
@@ -58,51 +62,16 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _weights_list(text: str) -> tuple:
-    try:
-        vals = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
-    return vals
-
-
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-
-
-def _add_alloc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alloc", choices=ALLOCATION_KINDS, default="ibs",
-                   help="batch size allocation")
-    p.add_argument("--r", type=float, default=2.0 / 3.0,
-                   help="allocation exponent for ibs/dbs")
-    p.add_argument("--weights", type=_weights_list, default=None,
-                   help="comma-separated positive weights for --alloc custom "
-                        "(normalized internally)")
-
-
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", default=None,
-                   help=f"quantile cache file (default: ${CACHE_ENV} if set)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore any cache and recompute")
-    p.add_argument("--threads", type=_positive_int, default=_worker_count(None),
-                   help="worker thread cap; results do not depend on it")
-
-
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step-a", type=float, default=DEFAULT_A,
-                   help="step size prefactor a in a * t^(-r)")
-    p.add_argument("--step-r", type=float, default=DEFAULT_R,
-                   help="step size exponent, must lie in (1/2, 1)")
-    p.add_argument("--burn-in", type=int, default=0,
-                   help="steps discarded before averaging starts")
+def _comma_list(kind, noun):
+    """A flag type: comma-separated text to a tuple of kind."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}"
+            ) from None
+    return parse
 
 
 def _alloc_from(args) -> Allocation:
@@ -123,11 +92,8 @@ def _cache_from(args):
 
 
 def _effective_config(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
-    for k, v in cfg.items():
-        if isinstance(v, tuple):
-            cfg[k] = list(v)
-    return cfg
+    """Every flag's value but --config's; JSON writes a tuple as an array."""
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
 
 
 def _write_json(path, doc) -> None:
@@ -140,7 +106,7 @@ def _write_json(path, doc) -> None:
             fh.write("\n")
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     alloc = _alloc_from(args)
     if alloc.kind == "custom":
         m = len(args.weights)
@@ -175,10 +141,9 @@ def _cmd_calibrate(args) -> int:
                 "weights": list(w),
             },
         )
-    return 0
 
 
-def _cmd_infer(args) -> int:
+def _cmd_infer(args) -> None:
     rows, oracle = ingest_csv(args.data, args.model)
     n = len(rows)
     if args.burn_in >= n:
@@ -224,10 +189,9 @@ def _cmd_infer(args) -> int:
             "alpha_hat_1d": sq1.alpha_hat,
         }
     _write_json(args.out, doc)
-    return 0
 
 
-def _cmd_exp_coverage(args) -> int:
+def _cmd_exp_coverage(args) -> None:
     cfg = CoverageConfig(
         model=args.model,
         d=args.d,
@@ -251,10 +215,9 @@ def _cmd_exp_coverage(args) -> int:
     )
     if args.out:
         write_coverage_csv([report], args.out)
-    return 0
 
 
-def _cmd_exp_volume(args) -> int:
+def _cmd_exp_volume(args) -> None:
     rows = run_volume_study(
         args.d,
         args.m_list,
@@ -273,10 +236,9 @@ def _cmd_exp_volume(args) -> int:
         )
     if args.out:
         write_volume_csv(rows, args.out)
-    return 0
 
 
-def _cmd_exp_detcov(args) -> int:
+def _cmd_exp_detcov(args) -> None:
     dets = run_det_study(
         args.d,
         args.m,
@@ -298,10 +260,9 @@ def _cmd_exp_detcov(args) -> int:
             dets, args.out, model=args.model, d=args.d, m=args.m, T=args.T,
             base_seed=args.seed,
         )
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     reports = run_comparison(
         args.model,
         args.d,
@@ -327,152 +288,129 @@ def _cmd_compare(args) -> int:
             )
     if args.out:
         write_coverage_csv(reports, args.out)
-    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+# Every flag once, as argparse keywords. The --threads default, every core,
+# is read whenever a parser is built (see _parsers).
+FLAGS = {
+    "--data": {"required": True, "help": "CSV with header a_1,...,a_d,b"},
+    "--model": {"choices": list(ORACLES), "required": True},
+    "--d": {"type": _positive_int, "required": True},
+    "--T": {"type": _positive_int, "required": True},
+    "--method": {"default": "bm_joint", "choices": METHODS},
+    "--m": {"type": _positive_int, "required": True},
+    "--m-list": {"type": _comma_list(int, "integers"), "required": True,
+                 "help": "comma-separated batch counts"},
+    "--alloc": {"choices": ALLOCATION_KINDS, "default": "ibs", "help": "batch size allocation"},
+    "--r": {"type": float, "default": 2.0 / 3.0, "help": "allocation exponent for ibs/dbs"},
+    "--weights": {"type": _comma_list(float, "numbers"), "help": "comma-separated positive "
+                  "weights for --alloc custom (normalized internally)"},
+    "--delta": {"type": float, "default": 0.05},
+    "--mode": {"choices": ["joint", "marginal", "both"], "default": "joint",
+               "help": "which region document to produce"},
+    "--reps": {"type": _positive_int, "default": DEFAULT_CAL_REPS},
+    "--det-reps": {"type": _positive_int,
+                   "help": "determinant draws per cell (default: --reps)"},
+    "--cal-reps": {"type": _positive_int, "default": DEFAULT_CAL_REPS},
+    "--seed": {"type": int, "default": 0},
+    "--cal-seed": {"type": int, "default": DEFAULT_CAL_SEED},
+    "--step-a": {"type": float, "default": DEFAULT_A,
+                 "help": "step size prefactor a in a * t^(-r)"},
+    "--step-r": {"type": float, "default": DEFAULT_R,
+                 "help": "step size exponent, must lie in (1/2, 1)"},
+    "--burn-in": {"type": int, "default": 0, "help": "steps discarded before averaging starts"},
+    "--cache": {"help": f"quantile cache file (default: ${CACHE_ENV} if set)"},
+    "--no-cache": {"action": "store_true", "help": "ignore any cache and recompute"},
+    "--threads": {"type": _positive_int,
+                  "help": "worker thread cap; results do not depend on it"},
+    "--config": {"help": "JSON file of flag defaults"},
+    "--out": {"help": "CSV artifact path"},
+}
+
+_ALLOC = ["--alloc", "--r", "--weights"]
+_SCHEDULE = ["--step-a", "--step-r", "--burn-in"]
+_CACHE = ["--cache", "--no-cache", "--threads"]
+
+# Each subcommand: its handler, its help line, and its flags in --help order,
+# each a FLAGS key or (key, the keywords in which this subcommand differs).
+COMMANDS = {
+    "calibrate": (_cmd_calibrate, "Monte Carlo calibration of the scaling quantile", [
+        ("--d", {"help": "dimension"}), ("--m", {"required": False, "help": "batch count"}),
+        *_ALLOC, ("--delta", {"help": "miss probability"}),
+        ("--reps", {"help": "Monte Carlo draws"}), ("--seed", {"help": "base seed"}),
+        *_CACHE, "--config", ("--out", {"help": "JSON artifact path"})]),
+    "infer": (_cmd_infer, "confidence region from a CSV dataset", [
+        "--data", "--model", ("--m", {"required": False, "default": 30, "help": "batch count"}),
+        *_ALLOC, ("--delta", {"help": "miss probability"}), "--mode",
+        ("--cal-reps", {"help": "calibration draws"}), ("--seed", {"help": "calibration seed"}),
+        *_SCHEDULE, *_CACHE, "--config",
+        ("--out", {"help": "JSON artifact path (stdout if omitted)"})]),
+    "experiment coverage": (_cmd_exp_coverage, "empirical coverage of one method", [
+        "--model", "--d", "--T", "--method", "--m", *_ALLOC, "--delta",
+        ("--reps", {"default": DESK_REPLICATIONS, "help": "replications"}), "--seed",
+        *_SCHEDULE, "--cal-reps", "--cal-seed", *_CACHE, "--config", "--out"]),
+    "experiment volume": (_cmd_exp_volume, "expected volume factor across batch counts", [
+        "--d", "--m-list", *_ALLOC, "--delta", ("--reps", {"help": "calibration draws per cell"}),
+        "--det-reps", "--seed", *_CACHE, "--config", "--out"]),
+    "experiment detcov": (_cmd_exp_detcov, "scaled covariance determinants across replications", [
+        "--model", "--d", "--m", "--T", *_ALLOC,
+        ("--reps", {"default": 200, "help": "replications"}), "--seed", *_SCHEDULE,
+        "--config", "--out"]),
+    "compare": (_cmd_compare, "all methods on one problem, shared budget", [
+        "--model", "--d", "--T", "--m", *_ALLOC, "--delta",
+        ("--reps", {"default": DESK_REPLICATIONS, "help": "replications per method"}), "--seed",
+        *_SCHEDULE, "--cal-reps", *_CACHE, "--config", "--out"]),
+}
+
+
+def _parsers(command=None) -> tuple:
+    """The root parser, and (subparser, its actions by dest) of command, or
+    None when command is None."""
     parser = argparse.ArgumentParser(
         prog="sgdci",
         description="Confidence regions for averaged SGD via batch means",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cal = sub.add_parser("calibrate", formatter_class=fmt,
-                           help="Monte Carlo calibration of the scaling quantile")
-    p_cal.add_argument("--d", type=_positive_int, required=True, help="dimension")
-    p_cal.add_argument("--m", type=_positive_int, default=None, help="batch count")
-    _add_alloc_flags(p_cal)
-    p_cal.add_argument("--delta", type=float, default=0.05, help="miss probability")
-    p_cal.add_argument("--reps", type=_positive_int, default=DEFAULT_CAL_REPS,
-                       help="Monte Carlo draws")
-    p_cal.add_argument("--seed", type=int, default=0, help="base seed")
-    _add_cache_flags(p_cal)
-    p_cal.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_cal.add_argument("--out", default=None, help="JSON artifact path")
-    p_cal.set_defaults(func=_cmd_calibrate)
-
-    p_inf = sub.add_parser("infer", formatter_class=fmt,
-                           help="confidence region from a CSV dataset")
-    p_inf.add_argument("--data", required=True, help="CSV with header a_1,...,a_d,b")
-    p_inf.add_argument("--model", choices=list(ORACLES), required=True)
-    p_inf.add_argument("--m", type=_positive_int, default=30, help="batch count")
-    _add_alloc_flags(p_inf)
-    p_inf.add_argument("--delta", type=float, default=0.05, help="miss probability")
-    p_inf.add_argument("--mode", choices=["joint", "marginal", "both"],
-                       default="joint", help="which region document to produce")
-    p_inf.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS,
-                       help="calibration draws")
-    p_inf.add_argument("--seed", type=int, default=0, help="calibration seed")
-    _add_schedule_flags(p_inf)
-    _add_cache_flags(p_inf)
-    p_inf.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_inf.add_argument("--out", default=None,
-                       help="JSON artifact path (stdout if omitted)")
-    p_inf.set_defaults(func=_cmd_infer)
-
-    p_exp = sub.add_parser("experiment", help="reproduction studies")
-    exp_sub = p_exp.add_subparsers(dest="study", required=True)
-
-    p_cov = exp_sub.add_parser("coverage", formatter_class=fmt,
-                               help="empirical coverage of one method")
-    p_cov.add_argument("--model", choices=list(ORACLES), required=True)
-    p_cov.add_argument("--d", type=_positive_int, required=True)
-    p_cov.add_argument("--T", type=_positive_int, required=True)
-    p_cov.add_argument("--method", default="bm_joint", choices=METHODS)
-    p_cov.add_argument("--m", type=_positive_int, required=True)
-    _add_alloc_flags(p_cov)
-    p_cov.add_argument("--delta", type=float, default=0.05)
-    p_cov.add_argument("--reps", type=_positive_int, default=DESK_REPLICATIONS,
-                       help="replications")
-    p_cov.add_argument("--seed", type=int, default=0)
-    _add_schedule_flags(p_cov)
-    p_cov.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS)
-    p_cov.add_argument("--cal-seed", type=int, default=DEFAULT_CAL_SEED)
-    _add_cache_flags(p_cov)
-    p_cov.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_cov.add_argument("--out", default=None, help="CSV artifact path")
-    p_cov.set_defaults(func=_cmd_exp_coverage)
-
-    p_vol = exp_sub.add_parser("volume", formatter_class=fmt,
-                               help="expected volume factor across batch counts")
-    p_vol.add_argument("--d", type=_positive_int, required=True)
-    p_vol.add_argument("--m-list", type=_int_list, required=True,
-                       help="comma-separated batch counts")
-    _add_alloc_flags(p_vol)
-    p_vol.add_argument("--delta", type=float, default=0.05)
-    p_vol.add_argument("--reps", type=_positive_int, default=DEFAULT_CAL_REPS,
-                       help="calibration draws per cell")
-    p_vol.add_argument("--det-reps", type=_positive_int, default=None,
-                       help="determinant draws per cell (default: --reps)")
-    p_vol.add_argument("--seed", type=int, default=0)
-    _add_cache_flags(p_vol)
-    p_vol.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_vol.add_argument("--out", default=None, help="CSV artifact path")
-    p_vol.set_defaults(func=_cmd_exp_volume)
-
-    p_det = exp_sub.add_parser("detcov", formatter_class=fmt,
-                               help="scaled covariance determinants across replications")
-    p_det.add_argument("--model", choices=list(ORACLES), required=True)
-    p_det.add_argument("--d", type=_positive_int, required=True)
-    p_det.add_argument("--m", type=_positive_int, required=True)
-    p_det.add_argument("--T", type=_positive_int, required=True)
-    _add_alloc_flags(p_det)
-    p_det.add_argument("--reps", type=_positive_int, default=200,
-                       help="replications")
-    p_det.add_argument("--seed", type=int, default=0)
-    _add_schedule_flags(p_det)
-    p_det.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_det.add_argument("--out", default=None, help="CSV artifact path")
-    p_det.set_defaults(func=_cmd_exp_detcov)
-
-    p_cmp = sub.add_parser("compare", formatter_class=fmt,
-                           help="all methods on one problem, shared budget")
-    p_cmp.add_argument("--model", choices=list(ORACLES), required=True)
-    p_cmp.add_argument("--d", type=_positive_int, required=True)
-    p_cmp.add_argument("--T", type=_positive_int, required=True)
-    p_cmp.add_argument("--m", type=_positive_int, required=True)
-    _add_alloc_flags(p_cmp)
-    p_cmp.add_argument("--delta", type=float, default=0.05)
-    p_cmp.add_argument("--reps", type=_positive_int, default=DESK_REPLICATIONS,
-                       help="replications per method")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    _add_schedule_flags(p_cmp)
-    p_cmp.add_argument("--cal-reps", type=_positive_int, default=DEFAULT_CAL_REPS)
-    _add_cache_flags(p_cmp)
-    p_cmp.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p_cmp.add_argument("--out", default=None, help="CSV artifact path")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    return parser
+    subs = parser.add_subparsers(dest="command", required=True)
+    studies = leaf = None
+    for name, (func, help_line, items) in COMMANDS.items():
+        group, word = subs, name
+        if name.startswith("experiment "):
+            if studies is None:
+                studies = subs.add_parser("experiment", help="reproduction studies"
+                                          ).add_subparsers(dest="study", required=True)
+            group, word = studies, name.split()[1]
+        p = group.add_parser(word, help=help_line,
+                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        actions = {}
+        for item in items:
+            flag, diff = (item, {}) if isinstance(item, str) else item
+            kw = {**FLAGS[flag], **diff}
+            if flag == "--threads":
+                kw["default"] = _worker_count(None)
+            action = p.add_argument(flag, **kw)
+            actions[action.dest] = action
+        p.set_defaults(func=func)
+        if name == command:
+            leaf = (p, actions)
+    return parser, leaf
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
-    """Install the --config JSON object named in argv as defaults of its flags.
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser, every subparser built from FLAGS and COMMANDS."""
+    return _parsers()[0]
 
-    The root parser has no options of its own, so the invoked subcommand is
-    argv[0], plus argv[1] under experiment. Keys must name flags of that
-    subcommand (underscore form); any other key, a typo or another
-    subcommand's flag, is a usage error of that subcommand, so it cannot
-    silently vanish. Each value passes its flag's type and choices checks as
-    the flag's command-line text would (a list as comma-separated text, a
-    switch as true or false); null keeps a flag whose default is None unset.
-    A flag the config sets is no longer required on the command line, and
-    command-line flags still win.
+
+def _apply_config(path, parser: argparse.ArgumentParser, actions: dict) -> None:
+    """Install the --config JSON object at path as defaults of parser's flags.
+
+    Keys must name flags of the subcommand (underscore form); any other key,
+    a typo or another subcommand's flag, is a usage error of that
+    subcommand, so it cannot silently vanish. Each value passes its flag's
+    type and choices checks as the flag's command-line text would (a list as
+    comma-separated text, a switch as true or false); null keeps a flag
+    whose default is None unset. A flag the config sets is no longer
+    required on the command line, and command-line flags still win.
     """
-    for word in argv[:2]:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs or word not in subs[0].choices:
-            break
-        parser = subs[0].choices[word]
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        path = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # --config without a value: parse_args reports it
-        return
-    if path is None or not any(a.dest == "config" for a in parser._actions):
-        return
     try:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -480,11 +418,9 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
         parser.error(f"cannot read config {path}: {e}")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    cleaned = {}
     for key, raw in overrides.items():
         action = actions.get(key.replace("-", "_"))
-        if action is None:
+        if action is None or action.dest == "config":
             parser.error(f"config {path}: unknown flag {key!r}")
         val, ok = raw, True
         if action.nargs == 0:
@@ -498,21 +434,31 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
                 ok = False
         if not ok:
             parser.error(f"config {path}: invalid value {raw!r} for {key!r}")
-        cleaned[action.dest] = val
+        action.default = val
         action.required = action.required and val is None
-    parser.set_defaults(**cleaned)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    _apply_config_defaults(parser, argv)
+    # the root parser has no options of its own, so argv starts with the command
+    command = next((c for c in COMMANDS if c.split() == argv[:len(c.split())]), None)
+    parser, leaf = _parsers(command)
+    if leaf is not None:
+        pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        pre.add_argument("--config")
+        try:
+            path = pre.parse_known_args(argv)[0].config
+        except argparse.ArgumentError:  # --config without a value: parse_args reports it
+            path = None
+        if path is not None:
+            _apply_config(path, *leaf)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (SgdciError, ValueError, OSError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

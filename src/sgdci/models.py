@@ -65,8 +65,10 @@ def linear_oracle(params: TrueParams) -> GradientOracle:
     xs, d = params.x_star, params.d
 
     def gradient(x, z):
+        # einsum, not a @ xs: a BLAS product changes a row's last bits with
+        # the number of rows, and one chain must equal its single run
         a = z[:, :d]
-        return linear_gradient(x, a, a @ xs + z[:, d])
+        return linear_gradient(x, a, np.einsum("...d,d->...", a, xs) + z[:, d])
 
     return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),
                           gradient=gradient)
@@ -78,7 +80,7 @@ def logistic_oracle(params: TrueParams) -> GradientOracle:
 
     def gradient(x, z):
         a = z[:, :d]
-        b = np.where(ndtr(z[:, d]) < expit(a @ xs), 1.0, -1.0)
+        b = np.where(ndtr(z[:, d]) < expit(np.einsum("...d,d->...", a, xs)), 1.0, -1.0)
         return logistic_gradient(x, a, b)
 
     return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),

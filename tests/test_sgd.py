@@ -6,8 +6,10 @@ from scipy.special import expit, ndtr
 
 from sgdci.batching import Allocation, accumulate, make_plan
 from sgdci.errors import NonFiniteIterate, OracleDimensionMismatch
-from sgdci.models import linear_oracle, linspace_params, logistic_oracle
-from sgdci.sgd import GradientOracle, SgdRunConfig, StepSchedule, run_chains, run_sgd
+from sgdci.models import TrueParams, linear_oracle, linspace_params, logistic_oracle
+from sgdci.sgd import (
+    GradientOracle, SgdRunConfig, StepSchedule, run_chains, run_sgd, single_run,
+)
 from sgdci.streams import derive_stream
 
 
@@ -193,6 +195,22 @@ class TestDriverReference:
         summary = acc.finalize()
         assert np.array_equal(xi[:, 0], summary.xi)
         assert np.array_equal(xbar[0], summary.xbar)
+
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    @pytest.mark.parametrize("x_star", [linspace_params(d).x_star for d in (4, 5, 20)]
+                             + [np.array([0.3, -0.7])], ids=["d4", "d5", "d20", "d2"])
+    def test_every_chain_equals_its_single_run(self, model, x_star):
+        # x*^T a of a row must not depend on how many rows share the call; a
+        # BLAS matrix-vector product changes its last bits with them, at d = 2
+        # too unless every product a_k x*_k is exact, as on the 0, 1/2, 1 grid
+        oracle = (linear_oracle if model == "linear" else logistic_oracle)(TrueParams(x_star))
+        cfg = SgdRunConfig(T=self.plan.T, burn_in=11)
+        gens = [derive_stream(65, j) for j in range(7)]
+        xi, xbar = run_chains(oracle, cfg, gens, [self.plan.boundaries])[0]
+        for j in range(7):
+            xi_j, xbar_j = single_run(oracle, cfg, derive_stream(65, j), self.plan.boundaries)
+            assert np.array_equal(xi[:, j], xi_j), j
+            assert np.array_equal(xbar[j], xbar_j), j
 
 
 class TestSeveralPlans:
