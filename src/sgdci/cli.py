@@ -418,6 +418,7 @@ def _apply_config(path, parser: argparse.ArgumentParser, actions: dict) -> None:
         parser.error(f"cannot read config {path}: {e}")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
+    checked = []  # every key passes before any default changes the usage line
     for key, raw in overrides.items():
         action = actions.get(key.replace("-", "_"))
         if action is None or action.dest == "config":
@@ -434,6 +435,8 @@ def _apply_config(path, parser: argparse.ArgumentParser, actions: dict) -> None:
                 ok = False
         if not ok:
             parser.error(f"config {path}: invalid value {raw!r} for {key!r}")
+        checked.append((action, val))
+    for action, val in checked:
         action.default = val
         action.required = action.required and val is None
 

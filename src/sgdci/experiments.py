@@ -8,7 +8,9 @@ are those of a serial run on its stream by construction, while desk-scale
 tables stay in the seconds-to-minutes range. A comparison steps each chain
 set once and scores every method on it: the bm and BMI cells share one set
 of R long chains, batched under both plans in the same pass, and the two
-sectioning cells share one set of section chains.
+sectioning cells share one set of section chains. The R * m sections run in
+groups of whole replications, each group's generators made just before its
+pass and dropped after it, so memory does not grow with R * m.
 
 Every report embeds its full configuration. Wall-clock time is recorded for
 convenience but is the one field outside the determinism contract; cells
@@ -57,7 +59,7 @@ from .inference import (
 )
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
-from .sgd import SgdRunConfig, StepSchedule, run_chains
+from .sgd import _BLOCK_DOUBLES, SgdRunConfig, StepSchedule, run_chains
 from .streams import derive_stream
 
 DESK_REPLICATIONS = 300
@@ -151,13 +153,31 @@ def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
     return make_plan(cfg.T, cfg.m, cfg.alloc)
 
 
+def _section_group(sections: int) -> int:
+    """Replications per group of the sectioning pass: isqrt(_BLOCK_DOUBLES)
+    chains (724), rounded down to whole replications, at least one.
+
+    A smaller group steps more often in Python for the same chains; a larger
+    one makes run_chains' block shallower, so each chain draws more often.
+    In a sweep at d = 2 (BENCH_14.json), the pass time at the 2^19 block was
+    flat from about 500 to 1,500 chains and higher at 250 and from 2,730 up;
+    the square root of the block sits near the low end of that range, so few
+    generators are alive at once. Each chain draws its own stream in order
+    whatever the group, so no result depends on it.
+    """
+    return max(1, math.isqrt(_BLOCK_DOUBLES) // sections)
+
+
 def _trajectory(cfg: CoverageConfig, plans) -> list:
     """Step the chain set of cfg's method once; one summary list per plan.
 
     bm and BMI cells run R chains of T steps, chain r on stream
     (base_seed, r), and every plan over [0, T] batches the same iterates.
     Sectioning runs R * m chains of T // m steps, section j of replication r
-    on stream (base_seed, r, j); its one plan has a batch per section.
+    on stream (base_seed, r, j), in groups of _section_group(m) whole
+    replications; its one plan has a batch per section. A divergence raises
+    after every group has run, with the earliest step over all groups and,
+    at that step, the lowest replication, as one pass over all would.
     """
     R, d = cfg.replications, cfg.d
     oracle = ORACLES[cfg.model](linspace_params(d))
@@ -166,20 +186,26 @@ def _trajectory(cfg: CoverageConfig, plans) -> list:
         return _replicate(oracle, sgd_cfg, plans, R, cfg.base_seed)
     (plan,) = plans
     sections = plan.m
-    sec_T = plan.T // sections
-    gens = [
-        derive_stream(cfg.base_seed, rep, j)
-        for rep in range(R)
-        for j in range(sections)
-    ]
-    try:
-        sgd_cfg = SgdRunConfig(T=sec_T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-        ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sec_T]])
-    except NonFiniteIterate as e:
-        raise NonFiniteIterate(e.t, replication=e.replication // sections) from None
+    sgd_cfg = SgdRunConfig(T=plan.T // sections, burn_in=cfg.burn_in, schedule=cfg.schedule)
+    group = _section_group(sections)
+    means, failure = [], None
+    for first in range(0, R, group):
+        # the group's generators live only for its run_chains call
+        gens = [derive_stream(cfg.base_seed, rep, j)
+                for rep in range(first, min(R, first + group)) for j in range(sections)]
+        try:
+            ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sgd_cfg.T]])
+        except NonFiniteIterate as e:
+            here = (e.t, first + e.replication // sections)
+            failure = here if failure is None else min(failure, here)
+        else:
+            means.append(chain_means)
+        del gens
+    if failure is not None:
+        raise NonFiniteIterate(failure[0], replication=failure[1])
     return [[
         BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
-        for mu in chain_means.reshape(R, sections, d)
+        for mu in np.concatenate(means).reshape(R, sections, d)
     ]]
 
 

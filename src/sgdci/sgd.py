@@ -23,6 +23,8 @@ from .errors import NonFiniteIterate, OracleDimensionMismatch
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
+# run_chains' input-block budget in doubles (4 MB); see its docstring.
+_BLOCK_DOUBLES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,10 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     0 = tau_0 < ... < tau_m = config.T; returns one (xi, xbar) per plan,
     with xi of shape (m, R, d) and xbar of shape (R, d). Every chain starts
     at config.x0 (zero if None); chain j draws its inputs from gens[j] in
-    blocks. observer, if given, receives the (R, d) iterates of every step
+    blocks of up to 4096 steps, the inputs of all chains for one block
+    held in one buffer of at most _BLOCK_DOUBLES (2^19) doubles, 4 MB,
+    unless 64 steps of all chains, R * (d + 1) * 64 doubles, exceed that.
+    observer, if given, receives the (R, d) iterates of every step
     after burn-in. A chain that leaves the finite range raises
     NonFiniteIterate with its global step index and its index (the lowest,
     if several leave at that step) as the replication. The check runs once
@@ -103,7 +108,7 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     batched = [(np.zeros((len(b) - 1, R, d)),
                 np.searchsorted(b, np.arange(T), side="right") - 1) for b in bounds]
     total = burn + T
-    chunk = max(64, min(4096, (1 << 21) // max(1, R * (d + 1))))
+    chunk = min(total, max(64, min(4096, _BLOCK_DOUBLES // max(1, R * (d + 1)))))
     inputs = None  # (chunk, R, k), allocated once the first block shows k
     a_sched, r_sched = config.schedule.a, config.schedule.r
 

@@ -108,6 +108,16 @@ def test_usage_error_matches_golden(case, tmp_path, monkeypatch):
     assert usage_error(*USAGE_ERRORS[case]) == (GOLDEN / f"error_{case}.txt").read_text()
 
 
+@pytest.mark.parametrize("case", [c for c, (_, config) in USAGE_ERRORS.items()
+                                  if config is not None and config.startswith("{\"")])
+def test_config_error_does_not_depend_on_key_order(case, tmp_path, monkeypatch):
+    # every key is checked before any of them changes the usage line
+    monkeypatch.chdir(tmp_path)
+    argv, config = USAGE_ERRORS[case]
+    reversed_config = json.dumps(dict(reversed(json.loads(config).items())))
+    assert usage_error(argv, reversed_config) == usage_error(argv, config)
+
+
 def test_calibrate_artifact_matches_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert calibrate_artifact() == (GOLDEN / "calibrate.json").read_text()

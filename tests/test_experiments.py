@@ -1,10 +1,12 @@
 """Replicated coverage / volume / determinant studies and CSV writers."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sgdci import experiments, sgd
 from sgdci.baselines import bmi_infer, sectioning_infer
 from sgdci.batching import Allocation, accumulate, ideal_weights, make_plan
 from sgdci.calibration import LimitDrawSpec, QuantileCache, estimate_alpha, spec_from_plan
@@ -244,6 +246,18 @@ class TestDivergence:
         err = self._coverage("sectioning_marginal", R=R, m=m)
         assert (err.t, err.replication) == (steps[first], first[0])
 
+    def test_sectioning_groups_report_the_earliest_step(self, monkeypatch):
+        # one replication per group: replication 0 diverges in the first
+        # group, a later replication at an earlier step in a later group
+        m, R = 4, 4
+        steps = {(rep, j): self._serial_step(0, rep, j, T=self.T // m)
+                 for rep in range(R) for j in range(m)}
+        first = min(steps, key=lambda k: (steps[k], k))
+        assert first[0] > 0
+        monkeypatch.setattr(experiments, "_section_group", lambda sections: 1)
+        err = self._coverage("sectioning_marginal", R=R, m=m)
+        assert (err.t, err.replication) == (steps[first], first[0])
+
     def test_det_study_raises(self):
         with pytest.raises(NonFiniteIterate):
             run_det_study(d=self.d, m=25, T=self.T, model="linear", R=2, base_seed=0,
@@ -258,6 +272,44 @@ class TestDivergence:
             if not method.startswith("sectioning"):
                 assert isinstance(r, FailedCell) and r.method == method
                 assert r.error.startswith("NonFiniteIterate")
+
+
+class TestSectionGroups:
+    """The sections step in groups of whole replications."""
+
+    @pytest.mark.parametrize("model, d, seed", [("linear", 2, 0), ("linear", 2, 5),
+                                                ("logistic", 3, 0), ("logistic", 3, 5)])
+    def test_group_and_block_size_do_not_change_results(self, model, d, seed, tmp_path,
+                                                        monkeypatch):
+        R = 7
+
+        def signatures():
+            out = run_comparison(model, d, 1500, 10, Allocation(kind="ibs"), 0.05, R, seed,
+                                 cal_reps=10000, cache=QuantileCache(tmp_path / "q.json"))
+            assert not any(isinstance(r, FailedCell) for r in out)
+            return [r.signature() for r in out]
+
+        shipped = signatures()
+        # (R, 2^21): all sections in one pass with a 16 MB input block
+        for group, block in ((1, sgd._BLOCK_DOUBLES), (3, 64), (R, 1 << 21)):
+            monkeypatch.setattr(experiments, "_section_group", lambda sections, g=group: g)
+            monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", block)
+            assert signatures() == shipped
+
+    def test_memory_does_not_grow_with_sections(self):
+        # 3,000 and 30,000 sections of 20 steps each
+        def peak(R):
+            cfg = CoverageConfig(model="linear", d=2, T=2000, method="sectioning_marginal",
+                                 m=100, alloc=Allocation(kind="ibs"), replications=R,
+                                 base_seed=0)
+            tracemalloc.start()
+            try:
+                experiments._trajectory(cfg, [experiments._cell_plan(cfg)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(300) <= peak(30) + 3 * 2**20
 
 
 def _separate_cells(model, d, T, m, alloc, replications, base_seed, **kw):
