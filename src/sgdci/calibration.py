@@ -49,7 +49,7 @@ from scipy.special import bdtr, bdtrik, betainc
 from .batching import _joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
-from .streams import derive_stream
+from .streams import _worker_count, derive_stream
 
 MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
@@ -325,11 +325,6 @@ def estimate_alpha(
     if cache is not None:
         cache.put(sq)
     return sq
-
-
-def _worker_count(threads: Optional[int]) -> int:
-    """The pool size a threads argument names: None means every core."""
-    return (os.cpu_count() or 1) if threads is None else threads
 
 
 def _alpha_key(spec: LimitDrawSpec, delta: float, reps: int, base_seed: int) -> tuple:

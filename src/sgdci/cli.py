@@ -28,7 +28,6 @@ from .batching import ALLOCATION_KINDS, Allocation, BatchMeansSummary, ideal_wei
 from .calibration import (
     LimitDrawSpec,
     QuantileCache,
-    _worker_count,
     estimate_alpha,
     spec_from_plan,
 )
@@ -50,7 +49,7 @@ from .experiments import (
 from .inference import build_region, marginal_intervals, region_volume
 from .models import ORACLES, ingest_csv
 from .sgd import DEFAULT_A, DEFAULT_R, SgdRunConfig, StepSchedule, single_run
-from .streams import derive_stream
+from .streams import _worker_count, derive_stream
 
 CACHE_ENV = "SGDCI_CACHE"
 

@@ -45,7 +45,6 @@ from .calibration import (
     _alpha_key,
     _order_statistics,
     _submit_chunks,
-    _worker_count,
     estimate_alpha,
     spec_from_plan,
 )
@@ -60,7 +59,7 @@ from .inference import (
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
 from .sgd import _BLOCK_DOUBLES, SgdRunConfig, StepSchedule, run_chains
-from .streams import derive_stream
+from .streams import _worker_count, derive_stream
 
 DESK_REPLICATIONS = 300
 DEFAULT_CAL_REPS = 200_000
@@ -76,15 +75,18 @@ METHODS = (
 )
 
 
-def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int) -> list:
-    """Step R chains once, chain r on stream (base_seed, r); one list of
-    BatchMeansSummary per plan, one summary per chain."""
+def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int,
+               threads: Optional[int] = None) -> list:
+    """Step R chains once, chain r on stream (base_seed, r), their inputs
+    filled on `threads` workers; one list of BatchMeansSummary per plan,
+    one summary per chain."""
     gens = [derive_stream(base_seed, rep) for rep in range(R)]
     return [
         [BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
          for r in range(R)]
         for plan, (xi, xbar) in zip(
-            plans, run_chains(oracle, config, gens, [p.boundaries for p in plans]))
+            plans, run_chains(oracle, config, gens, [p.boundaries for p in plans],
+                              threads=threads))
     ]
 
 
@@ -153,9 +155,11 @@ def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
     return make_plan(cfg.T, cfg.m, cfg.alloc)
 
 
-def _section_group(sections: int) -> int:
+def _section_group(sections: int, d: int) -> int:
     """Replications per group of the sectioning pass: isqrt(_BLOCK_DOUBLES)
-    chains (724), rounded down to whole replications, at least one.
+    chains (724), and no more than fit run_chains' 64-step floor in the
+    block, _BLOCK_DOUBLES // (64 * (d + 1)) (390 at d = 20), rounded down to
+    whole replications, at least one.
 
     A smaller group steps more often in Python for the same chains; a larger
     one makes run_chains' block shallower, so each chain draws more often.
@@ -165,17 +169,19 @@ def _section_group(sections: int) -> int:
     generators are alive at once. Each chain draws its own stream in order
     whatever the group, so no result depends on it.
     """
-    return max(1, math.isqrt(_BLOCK_DOUBLES) // sections)
+    chains = min(math.isqrt(_BLOCK_DOUBLES), _BLOCK_DOUBLES // (64 * (d + 1)))
+    return max(1, chains // sections)
 
 
-def _trajectory(cfg: CoverageConfig, plans) -> list:
+def _trajectory(cfg: CoverageConfig, plans, threads: Optional[int] = None) -> list:
     """Step the chain set of cfg's method once; one summary list per plan.
 
     bm and BMI cells run R chains of T steps, chain r on stream
     (base_seed, r), and every plan over [0, T] batches the same iterates.
     Sectioning runs R * m chains of T // m steps, section j of replication r
-    on stream (base_seed, r, j), in groups of _section_group(m) whole
-    replications; its one plan has a batch per section. A divergence raises
+    on stream (base_seed, r, j), in groups of _section_group(m, d) whole
+    replications; its one plan has a batch per section. Each pass fills its
+    input blocks on `threads` workers. A divergence raises
     after every group has run, with the earliest step over all groups and,
     at that step, the lowest replication, as one pass over all would.
     """
@@ -183,18 +189,19 @@ def _trajectory(cfg: CoverageConfig, plans) -> list:
     oracle = ORACLES[cfg.model](linspace_params(d))
     if not cfg.method.startswith("sectioning"):
         sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-        return _replicate(oracle, sgd_cfg, plans, R, cfg.base_seed)
+        return _replicate(oracle, sgd_cfg, plans, R, cfg.base_seed, threads)
     (plan,) = plans
     sections = plan.m
     sgd_cfg = SgdRunConfig(T=plan.T // sections, burn_in=cfg.burn_in, schedule=cfg.schedule)
-    group = _section_group(sections)
+    group = _section_group(sections, d)
     means, failure = [], None
     for first in range(0, R, group):
         # the group's generators live only for its run_chains call
         gens = [derive_stream(cfg.base_seed, rep, j)
                 for rep in range(first, min(R, first + group)) for j in range(sections)]
         try:
-            ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sgd_cfg.T]])
+            ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sgd_cfg.T]],
+                                             threads=threads)
         except NonFiniteIterate as e:
             here = (e.t, first + e.replication // sections)
             failure = here if failure is None else min(failure, here)
@@ -287,11 +294,12 @@ def run_coverage(
     third outcome, counted separately from hits and misses; the run aborts
     if they exceed one percent of replications. Marginal methods record the
     average coverage across the d coordinates of each replication. A
-    diverging chain raises NonFiniteIterate.
+    diverging chain raises NonFiniteIterate. `threads` workers (None: every
+    core) fill the chains' input blocks and run a cold calibration.
     """
     t0 = time.perf_counter()
     plan = _cell_plan(config)
-    (summaries,) = _trajectory(config, [plan])
+    (summaries,) = _trajectory(config, [plan], threads)
     return _score(config, plan, summaries, cache, threads, time.perf_counter() - t0)
 
 
@@ -423,7 +431,8 @@ def _shared_cells(cells: dict, plans: dict, cache, threads) -> dict:
     families = list(dict.fromkeys(map(_family, cells)))
     t0 = time.perf_counter()
     try:
-        summaries = _trajectory(next(iter(cells.values())), [plans[f] for f in families])
+        summaries = _trajectory(next(iter(cells.values())), [plans[f] for f in families],
+                                threads)
     except (SgdciError, ValueError) as e:
         return {mth: _failed(mth, e) for mth in cells}
     stepping_s = time.perf_counter() - t0
@@ -461,6 +470,7 @@ def run_comparison(
     stepped once: one pass over R long chains batches them under the bm and
     the BMI plans, and one pass over the sections serves both sectioning
     cells. A divergence in a shared pass fails every cell that uses it.
+    `threads` is used as in run_coverage.
     """
     out, cells, plans = {}, {}, {}  # method -> result, method -> config, family -> plan
     for method in METHODS:

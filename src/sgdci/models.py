@@ -3,12 +3,16 @@
 Two families: least squares with Gaussian noise, and logistic regression
 with labels in {-1, +1}. `linear_gradient` and `logistic_gradient` are the
 package's only gradient formulas; they work row by row, so the driver
-applies them to every chain of a step at once. Covariates are standard
-normal in both synthetic models. Each synthetic oracle draws exactly d + 1
-standard normal variates per step (d for the covariate vector, one for the
-response channel) and maps them to (a, b); the logistic label turns its
-normal variate into a uniform through the normal CDF. A CSV dataset is
-replayed from an (n, d + 1) array of rows (a, b), one row per step.
+applies them to every chain of a step at once. Every oracle, synthetic or
+replayed, steps through one row gradient on inputs laid out as rows
+(a, b), a in the first d columns and the response b in the last. Covariates
+are standard normal in both synthetic models. Each synthetic oracle draws
+exactly d + 1 standard normal variates per step (d for the covariate
+vector, one for the response channel), and its block hook turns a whole
+block of them into rows (a, b) in place, so the response x*^T a is computed
+once per block, not once per step; the logistic label turns its normal
+variate into a uniform through the normal CDF. A CSV dataset is replayed
+from an (n, d + 1) array of rows (a, b), one row per step, to one chain.
 """
 
 from __future__ import annotations
@@ -60,42 +64,50 @@ def logistic_gradient(x: np.ndarray, a: np.ndarray, b) -> np.ndarray:
     return coef[..., None] * a
 
 
+def _row_oracle(d: int, grad, draw, prepare=None) -> GradientOracle:
+    """An oracle whose prepared inputs are rows (a, b), stepped through grad."""
+    return GradientOracle(dim=d, draw=draw, prepare=prepare,
+                          gradient=lambda x, z: grad(x, z[:, :d], z[:, d]))
+
+
 def linear_oracle(params: TrueParams) -> GradientOracle:
     """Draws a ~ N(0, I_d), b = x*^T a + eps with eps ~ N(0, 1)."""
     xs, d = params.x_star, params.d
 
-    def gradient(x, z):
+    def prepare(z):
         # einsum, not a @ xs: a BLAS product changes a row's last bits with
         # the number of rows, and one chain must equal its single run
-        a = z[:, :d]
-        return linear_gradient(x, a, np.einsum("...d,d->...", a, xs) + z[:, d])
+        z[..., d] += np.einsum("...d,d->...", z[..., :d], xs)
 
-    return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),
-                          gradient=gradient)
+    return _row_oracle(d, linear_gradient, lambda gen, n: gen.standard_normal((n, d + 1)),
+                       prepare)
 
 
 def logistic_oracle(params: TrueParams) -> GradientOracle:
     """Draws a ~ N(0, I_d); b = +1 with probability (1 + exp(-x*^T a))^{-1}."""
     xs, d = params.x_star, params.d
 
-    def gradient(x, z):
-        a = z[:, :d]
-        b = np.where(ndtr(z[:, d]) < expit(np.einsum("...d,d->...", a, xs)), 1.0, -1.0)
-        return logistic_gradient(x, a, b)
+    def prepare(z):
+        z[..., d] = np.where(
+            ndtr(z[..., d]) < expit(np.einsum("...d,d->...", z[..., :d], xs)), 1.0, -1.0)
 
-    return GradientOracle(dim=d, draw=lambda gen, n: gen.standard_normal((n, d + 1)),
-                          gradient=gradient)
+    return _row_oracle(d, logistic_gradient, lambda gen, n: gen.standard_normal((n, d + 1)),
+                       prepare)
 
 
 ORACLES = {"linear": linear_oracle, "logistic": logistic_oracle}
 
 
 def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
-    d = rows.shape[1] - 1
-    grad = linear_gradient if model_kind == "linear" else logistic_gradient
-    cursor = [0]
+    """Rows in order, to the first generator that draws; a second one raises
+    ValueError, since one cursor cannot feed two chains."""
+    cursor, owner = [0], []
 
     def draw(gen, n):
+        if not owner:
+            owner.append(gen)
+        elif owner[0] is not gen:
+            raise ValueError("a replayed dataset feeds one chain; a second generator drew from it")
         i = cursor[0]
         if i + n > len(rows):
             raise ExhaustedData(
@@ -104,10 +116,8 @@ def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
         cursor[0] = i + n
         return rows[i:i + n]
 
-    def gradient(x, rows_t):
-        return grad(x, rows_t[:, :d], rows_t[:, d])
-
-    return GradientOracle(dim=d, draw=draw, gradient=gradient)
+    grad = linear_gradient if model_kind == "linear" else logistic_gradient
+    return _row_oracle(rows.shape[1] - 1, grad, draw)
 
 
 def ingest_csv(path, model_kind: str):

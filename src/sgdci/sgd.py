@@ -9,17 +9,22 @@ are simply not averaged. `run_chains` is the one stepping loop; a single run
 of a replicated study agree, and fail the same way, by construction. One
 call batches the same iterates under several plans at once: each plan keeps
 its own batch sums, added in step order, so its batch means are those of a
-separate run, bit for bit.
+separate run, bit for bit. Each block of inputs is drawn and prepared in full
+before the first of its steps, over contiguous ranges of chains on a pool
+made for the call; every chain draws its own stream in order, so the thread
+count changes no bit.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFiniteIterate, OracleDimensionMismatch
+from .streams import _worker_count
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
@@ -47,8 +52,13 @@ class GradientOracle:
 
     ``draw(gen, n)`` returns one chain's inputs for its next n steps, shape
     (n, k), from that chain's generator; one call for n steps must return
-    what n calls for one step would. ``gradient(X, inputs)`` maps iterates
-    (R, d) and one step's inputs (R, k) to gradients (R, d), and must be a
+    what n calls for one step would. run_chains may call draw for different
+    chains at the same time, so draw may touch only its own gen. The
+    optional ``prepare(block)`` turns raw inputs of shape (n, chains, k), in
+    place, into what gradient reads, say normals into rows (a, b); it runs
+    once per block and chain range, never per step, and must treat every
+    (step, chain) row alone. ``gradient(X, inputs)`` maps iterates (R, d)
+    and one step's prepared inputs (R, k) to gradients (R, d), and must be a
     pure function of its arguments. The conditional mean of a gradient
     given x must be the true gradient of the target loss; noise moment
     conditions are the caller's responsibility and are not checked.
@@ -57,10 +67,14 @@ class GradientOracle:
     dim: int
     draw: Callable[[np.random.Generator, int], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    prepare: Optional[Callable[[np.ndarray], None]] = None
 
     def next_gradient(self, x, gen: np.random.Generator) -> np.ndarray:
         """One step's gradient at x, shape (dim,), drawing from gen."""
-        return self.gradient(np.asarray(x, dtype=float)[None], self.draw(gen, 1))[0]
+        z = np.array(self.draw(gen, 1), dtype=float)  # prepare writes to its own copy
+        if self.prepare is not None:
+            self.prepare(z[:, None])
+        return self.gradient(np.asarray(x, dtype=float)[None], z)[0]
 
 
 @dataclass
@@ -78,7 +92,8 @@ class SgdRunConfig:
 
 
 def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
-               observer: Optional[Callable[[np.ndarray], None]] = None) -> list:
+               observer: Optional[Callable[[np.ndarray], None]] = None,
+               threads: Optional[int] = None) -> list:
     """Advance len(gens) independent chains and return their batch means.
 
     plans is a sequence of integer boundary arrays, each
@@ -88,7 +103,13 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     blocks of up to 4096 steps, the inputs of all chains for one block
     held in one buffer of at most _BLOCK_DOUBLES (2^19) doubles, 4 MB,
     unless 64 steps of all chains, R * (d + 1) * 64 doubles, exceed that.
-    observer, if given, receives the (R, d) iterates of every step
+    A block is drawn and prepared in full before its first step: chain 0
+    draws first on the calling thread, then the chains split into
+    min(threads, R) contiguous ranges (threads None: every core), the
+    calling thread filling the first and a pool made for the call the rest;
+    at R = 1 everything runs inline. If draw or prepare raises, run_chains
+    raises the exception of the lowest failing range once every range has
+    stopped. observer, if given, receives the (R, d) iterates of every step
     after burn-in. A chain that leaves the finite range raises
     NonFiniteIterate with its global step index and its index (the lowest,
     if several leave at that step) as the replication. The check runs once
@@ -109,8 +130,18 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
                 np.searchsorted(b, np.arange(T), side="right") - 1) for b in bounds]
     total = burn + T
     chunk = min(total, max(64, min(4096, _BLOCK_DOUBLES // max(1, R * (d + 1)))))
-    inputs = None  # (chunk, R, k), allocated once the first block shows k
+    inputs = None  # (chunk, R, k), allocated once chain 0's first block shows k
     a_sched, r_sched = config.schedule.a, config.schedule.r
+    workers = min(_worker_count(threads), R)
+    edges = [R * i // workers for i in range(workers + 1)]
+    ranges = list(zip(edges[:-1], edges[1:]))
+
+    def fill(lo, hi, c):
+        # chains lo..hi-1 of one block of c steps; chain 0 is already drawn
+        for j in range(max(lo, 1), hi):
+            inputs[:c, j] = oracle.draw(gens[j], c)
+        if oracle.prepare is not None:
+            oracle.prepare(inputs[:c, lo:hi])
 
     def advance(x, step_inputs, tt):
         g = oracle.gradient(x, step_inputs)
@@ -119,16 +150,21 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
         return x - (a_sched * tt ** (-r_sched)) * g
 
     # Overflow on the way to NonFiniteIterate is expected; the exception is
-    # the one signal a diverging chain gives.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the one signal a diverging chain gives. The pool starts no thread at
+    # R = 1, and its exit waits for every range still filling.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         t = 0
         while t < total:
             c = min(chunk, total - t)
-            for j, gen in enumerate(gens):
-                block = oracle.draw(gen, c)
-                if inputs is None:
-                    inputs = np.empty((chunk, R) + block.shape[1:])
-                inputs[:c, j] = block
+            block = oracle.draw(gens[0], c)
+            if inputs is None:
+                inputs = np.empty((chunk, R) + block.shape[1:])
+            inputs[:c, 0] = block
+            pending = [pool.submit(fill, lo, hi, c) for lo, hi in ranges[1:]]
+            fill(*ranges[0], c)
+            for f in pending:
+                f.result()
             x_start = x
             for s in range(c):
                 tt = t + s + 1

@@ -9,9 +9,17 @@ A stream is a numpy Generator, and every function that draws takes one.
 
 from __future__ import annotations
 
+import os
+from typing import Optional
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+def _worker_count(threads: Optional[int]) -> int:
+    """The pool size a threads argument names: None means every core."""
+    return (os.cpu_count() or 1) if threads is None else threads
 
 
 def derive_stream(base_seed: int, *indices: int) -> np.random.Generator:

@@ -254,7 +254,7 @@ class TestDivergence:
                  for rep in range(R) for j in range(m)}
         first = min(steps, key=lambda k: (steps[k], k))
         assert first[0] > 0
-        monkeypatch.setattr(experiments, "_section_group", lambda sections: 1)
+        monkeypatch.setattr(experiments, "_section_group", lambda sections, d: 1)
         err = self._coverage("sectioning_marginal", R=R, m=m)
         assert (err.t, err.replication) == (steps[first], first[0])
 
@@ -292,7 +292,7 @@ class TestSectionGroups:
         shipped = signatures()
         # (R, 2^21): all sections in one pass with a 16 MB input block
         for group, block in ((1, sgd._BLOCK_DOUBLES), (3, 64), (R, 1 << 21)):
-            monkeypatch.setattr(experiments, "_section_group", lambda sections, g=group: g)
+            monkeypatch.setattr(experiments, "_section_group", lambda sections, d, g=group: g)
             monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", block)
             assert signatures() == shipped
 
@@ -310,6 +310,20 @@ class TestSectionGroups:
                 tracemalloc.stop()
 
         assert peak(300) <= peak(30) + 3 * 2**20
+
+    def test_block_stays_in_budget_at_large_d(self):
+        # at d = 20 a 720-chain group would need 64 * 720 * 21 doubles (7.7 MB)
+        # for run_chains' 64-step floor; the group rule caps it at 390 chains
+        cfg = CoverageConfig(model="linear", d=20, T=6000, method="sectioning_marginal",
+                             m=30, alloc=Allocation(kind="ibs"), replications=48, base_seed=0)
+        assert experiments._section_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
+        tracemalloc.start()
+        try:
+            experiments._trajectory(cfg, [experiments._cell_plan(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * sgd._BLOCK_DOUBLES
 
 
 def _separate_cells(model, d, T, m, alloc, replications, base_seed, **kw):

@@ -13,6 +13,7 @@ from sgdci.models import (
     logistic_gradient,
     logistic_oracle,
 )
+from sgdci.sgd import SgdRunConfig, run_chains
 from sgdci.streams import derive_stream
 
 
@@ -169,6 +170,19 @@ class TestIngestCsv:
         p = self._write(tmp_path, "a_1,b\n1.0,2.0\n")
         with pytest.raises(ValueError):
             ingest_csv(p, "poisson")
+
+    def test_replay_feeds_one_chain_only(self, tmp_path):
+        # one cursor would hand two chains interleaved slices of the rows
+        p = self._write(tmp_path, "a_1,b\n" + "1.0,2.0\n" * 200)
+        for threads in (1, 2):
+            _, oracle = ingest_csv(p, "linear")
+            with pytest.raises(ValueError, match="one chain"):
+                run_chains(oracle, SgdRunConfig(T=50), [derive_stream(0), derive_stream(1)],
+                           [[0, 50]], threads=threads)
+        _, oracle = ingest_csv(p, "linear")
+        oracle.next_gradient(np.zeros(1), derive_stream(0))
+        with pytest.raises(ValueError, match="one chain"):
+            oracle.next_gradient(np.zeros(1), derive_stream(0))
 
     def test_replay_is_deterministic(self, tmp_path):
         p = self._write(tmp_path, "a_1,b\n0.5,1.0\n-2.0,0.5\n")

@@ -1,5 +1,8 @@
 """Step schedule and the averaged SGD driver."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtr
@@ -7,6 +10,7 @@ from scipy.special import expit, ndtr
 from sgdci.batching import Allocation, accumulate, make_plan
 from sgdci.errors import NonFiniteIterate, OracleDimensionMismatch
 from sgdci.models import TrueParams, linear_oracle, linspace_params, logistic_oracle
+from sgdci import sgd
 from sgdci.sgd import (
     GradientOracle, SgdRunConfig, StepSchedule, run_chains, run_sgd, single_run,
 )
@@ -248,3 +252,75 @@ class TestSeveralPlans:
         with pytest.raises(ValueError, match="must run from 0 to T=500"):
             run_chains(oracle, SgdRunConfig(T=self.T), [derive_stream(64)],
                        [self.plans[0], bad])
+
+
+def _factory(model):
+    return linear_oracle if model == "linear" else logistic_oracle
+
+
+class TestThreadedFills:
+    """Input blocks are filled over chain ranges on a pool; no bit depends on it."""
+
+    T, R = 500, 7  # 7 chains split unevenly over 2 and 3 workers
+    plans = [make_plan(T, 6, Allocation(kind="ibs")).boundaries,
+             make_plan(T, 5, Allocation(kind="dbs", r=0.6)).boundaries]
+
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_thread_count_changes_no_bit(self, model, d, monkeypatch):
+        # a one-double budget gives 64-step blocks, so every run has nine;
+        # a short switch interval interleaves the fills as finely as it can
+        monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", 1)
+        oracle = _factory(model)(linspace_params(d))
+        cfg = SgdRunConfig(T=self.T, burn_in=37)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_chains(oracle, cfg, [derive_stream(66, j) for j in range(self.R)],
+                               self.plans, threads=threads) for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for plan_runs in zip(*runs):
+            (xi, xbar), *others = plan_runs
+            for xi_t, xbar_t in others:
+                assert np.array_equal(xi_t, xi)
+                assert np.array_equal(xbar_t, xbar)
+
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    def test_next_gradient_is_one_driver_step(self, model):
+        oracle = _factory(model)(linspace_params(3))
+        cfg = SgdRunConfig(T=1, x0=np.array([0.2, -0.1, 0.7]))
+        ((_, xbar),) = run_chains(oracle, cfg, [derive_stream(67)], [[0, 1]])
+        g = oracle.next_gradient(cfg.x0, derive_stream(67))
+        a, r = cfg.schedule.a, cfg.schedule.r
+        assert np.array_equal(xbar[0], cfg.x0 - (a * 1 ** (-r)) * g)
+
+    @pytest.mark.parametrize("failing", [{5}, {3, 5}, {0, 6}])
+    def test_draw_failure_on_a_worker_is_raised_and_threads_end(self, failing):
+        # with 3 workers the ranges are chains 0-1, 2-3 and 4-6
+        base = linear_oracle(linspace_params(2))
+        gens = [derive_stream(68, j) for j in range(self.R)]
+        errors = {id(gens[j]): RuntimeError(f"chain {j}") for j in failing}
+
+        def draw(gen, n):
+            if id(gen) in errors:
+                raise errors[id(gen)]
+            return base.draw(gen, n)
+
+        oracle = GradientOracle(dim=2, draw=draw, gradient=base.gradient, prepare=base.prepare)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            run_chains(oracle, SgdRunConfig(T=self.T), gens, self.plans, threads=3)
+        assert exc.value is errors[id(gens[min(failing)])]
+        assert threading.active_count() == before
+
+    def test_divergence_reports_the_same_step_and_chain(self):
+        oracle = linear_oracle(linspace_params(20))
+        cfg = SgdRunConfig(T=4000, schedule=StepSchedule(a=20.0))
+        seen = set()
+        for threads in (1, 2, 3):
+            with pytest.raises(NonFiniteIterate) as exc:
+                run_chains(oracle, cfg, [derive_stream(69, j) for j in range(self.R)],
+                           [[0, cfg.T]], threads=threads)
+            seen.add((exc.value.t, exc.value.replication))
+        assert len(seen) == 1
