@@ -31,7 +31,7 @@ from .batching import (
     sample_cov,
     sample_sigma,
 )
-from .calibration import ScalingQuantile, f_quantile, weights_key
+from .calibration import exact_quantile, spec_from_plan
 from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
 from .linalg import SymMatrix
 from .sgd import GradientOracle, SgdRunConfig, StepSchedule, single_run
@@ -57,23 +57,6 @@ def _section_plan(m: int, total_T: int) -> BatchPlan:
     if total_T // m < 1:
         raise ValueError(f"total_T={total_T} leaves empty sections at m={m}")
     return make_plan(m * (total_T // m), m, Allocation(kind="es"))
-
-
-def _exact_quantile(d: int, plan: BatchPlan, delta: float) -> ScalingQuantile:
-    """The exact F(d, m-d) quantile for the plan's m equally weighted sections.
-
-    reps = 0 in the key marks a quantile that is exact, not Monte Carlo.
-    """
-    m = plan.m
-    alpha = f_quantile(d, m - d, 1.0 - delta)
-    return ScalingQuantile(
-        alpha_hat=alpha,
-        ci_low=alpha,
-        ci_high=alpha,
-        delta=delta,
-        reps=0,
-        key=(d, m, weights_key(plan.weights), float(delta), 0, -1),
-    )
 
 
 def sectioning_infer(
@@ -106,14 +89,14 @@ def sectioning_infer(
     summary = BatchMeansSummary(plan=plan, xi=means, xbar=means.mean(axis=0), d=d)
     region = None
     if m > d:
-        region = build_region(summary, _exact_quantile(d, plan, delta))
+        region = build_region(summary, exact_quantile(spec_from_plan(plan, d), delta))
         region.T = total_T  # the budget asked for, m * section_T plus the remainder
     return SectioningResult(
         section_means=means,
         pooled_mean=summary.xbar,
         cov=sample_cov(summary),
         region=region,
-        intervals=marginal_intervals(summary, _exact_quantile(1, plan, delta)),
+        intervals=marginal_intervals(summary, exact_quantile(spec_from_plan(plan, 1), delta)),
         m=m,
         section_T=section_T,
         delta=delta,

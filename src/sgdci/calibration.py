@@ -10,14 +10,17 @@ as a distribution-free order-statistic confidence interval.
 Draw generation is chunked: chunk k of a calibration run consumes the
 stream (base_seed, k), so results are independent of thread count and the
 chunk schedule is reproducible. The chunk is the unit of stream and of
-thread: a calibration runs its chunks on a pool of worker threads, and the
-volume study (experiments.run_volume_study) runs the chunks and the
-determinant pass of neighbouring batch counts side by side on one pool,
-each on its own stream. The chunk is not the unit of memory: _gram_blocks
-walks a chunk, and the determinant pass of the volume factor, in blocks of
-about 512 KB of normals, reducing each block to its Gram matrices in place
-while the block and its centering temporary fit in a core's L2 cache, so a
-worker holds one block at a time whatever the chunk size or thread count.
+thread. submit_alpha is the one way to start a calibration: it checks the
+arguments, serves a cache hit or submits the chunks to a caller's pool, and
+returns a finisher that gives the quantile and stores a miss. estimate_alpha
+runs it on a pool of its own. The volume study (experiments.run_volume_study)
+submits it and inference.submit_volume_factor for neighbouring batch counts
+side by side to one pool, each on its own stream. The chunk is not the
+unit of memory: _gram_blocks walks a chunk, and the determinant pass of the
+volume factor, in blocks of about 512 KB of normals, reducing each block to
+its Gram matrices in place while the block and its centering temporary fit
+in a core's L2 cache, so a worker holds one block at a time whatever the
+chunk size or thread count.
 The batched route forms every G by the same matmuls and every statistic as
 Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
 uses, at every d. The per-draw route (simulate_limit_draw) decides through
@@ -27,7 +30,9 @@ tested against.
 
 With even weights the limit is the F(d, m-d) distribution rescaled, which
 provides an exact cross-check: f_quantile here is computed independently
-by bisection on the regularized incomplete beta function.
+by bisection on the regularized incomplete beta function. exact_quantile
+gives it as the ScalingQuantile of an evenly weighted spec; sectioning
+uses it.
 """
 
 from __future__ import annotations
@@ -37,11 +42,12 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
@@ -62,6 +68,7 @@ _BLOCK_DOUBLES = 1 << 16
 # arithmetic, statistic). Bump it whenever a calibrated value can change,
 # even in its last bits, so QuantileCache never serves an older route's value.
 KERNEL_ROUTE = 3
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -309,26 +316,24 @@ def estimate_alpha(
 ) -> ScalingQuantile:
     """Empirical (1-delta)-quantile of the limiting statistic.
 
-    Returns the order statistic of rank ceil((1-delta)*reps) over reps
-    independent draws, with a 95% binomial order-statistic confidence
-    interval. Results are cached under the exact
-    (d, m, weight digest, delta, reps, base_seed) key. The chunks run on
+    What submit_alpha's finisher gives, with the chunks run on a pool of
     `threads` workers (None: every core); the result does not depend on it.
     """
-    key = _alpha_key(spec, delta, reps, base_seed)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
-        sq = _order_statistics(key, _submit_chunks(pool, spec, reps, base_seed))
-    if cache is not None:
-        cache.put(sq)
-    return sq
+        return submit_alpha(pool, spec, delta, reps, base_seed, cache)()
 
 
-def _alpha_key(spec: LimitDrawSpec, delta: float, reps: int, base_seed: int) -> tuple:
-    """Check a calibration's arguments, warn of a heavy tail, return its key."""
+def submit_alpha(pool, spec: LimitDrawSpec, delta: float, reps: int, base_seed: int,
+                 cache: Optional[QuantileCache] = None) -> Callable[[], ScalingQuantile]:
+    """Start a calibration on pool; returns a finisher giving its ScalingQuantile.
+
+    The arguments are checked, and a heavy tail warned of, before any draw.
+    A cache hit submits nothing. Otherwise chunk k runs on stream
+    (base_seed, k), submitted in order, and the finisher takes the order
+    statistic of rank ceil((1-delta)*reps) over the reps draws, with a 95%
+    binomial order-statistic confidence interval, and stores it in the cache
+    under the exact (d, m, weight digest, delta, reps, base_seed) key.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if reps < MIN_REPS:
@@ -336,41 +341,55 @@ def _alpha_key(spec: LimitDrawSpec, delta: float, reps: int, base_seed: int) -> 
             f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {reps}"
         )
     if spec.m - spec.d < HEAVY_TAIL_GAP:
-        warnings.warn(
+        _warn_at_caller(
             f"m - d = {spec.m - spec.d} < {HEAVY_TAIL_GAP}: the limiting "
-            "statistic is heavy-tailed and the quantile estimate will be noisy",
-            UserWarning,
-            stacklevel=3,
+            "statistic is heavy-tailed and the quantile estimate will be noisy"
         )
-    return (spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
-
-
-def _submit_chunks(pool, spec: LimitDrawSpec, reps: int, base_seed: int) -> list:
-    """Submit the chunks of a calibration run, in order; returns their futures."""
+    key = (spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        return lambda: hit
     chunk = _chunk_size(spec)
-    return [pool.submit(_eval_chunk, spec, min(chunk, reps - b), k, base_seed)
-            for k, b in enumerate(range(0, reps, chunk))]
+    chunks = [pool.submit(_eval_chunk, spec, min(chunk, reps - b), k, base_seed)
+              for k, b in enumerate(range(0, reps, chunk))]
+
+    def finish() -> ScalingQuantile:
+        stats = np.concatenate([f.result() for f in chunks])
+        stats.sort()
+        p, n = 1.0 - key[3], key[4]
+        k = int(np.ceil(p * n))
+        lo_rank = min(max(_binom_ppf(0.025, n, p), 1), k)
+        hi_rank = max(min(_binom_ppf(0.975, n, p) + 1, n), k)
+        sq = ScalingQuantile(alpha_hat=float(stats[k - 1]), ci_low=float(stats[lo_rank - 1]),
+                             ci_high=float(stats[hi_rank - 1]), delta=key[3], reps=n, key=key)
+        if cache is not None:
+            cache.put(sq)
+        return sq
+
+    return finish
 
 
-def _order_statistics(key: tuple, chunks: list) -> ScalingQuantile:
-    """The quantile and its confidence interval from the chunks' futures."""
-    delta, reps = key[3], key[4]
-    stats = np.concatenate([f.result() for f in chunks])
-    stats.sort()
-    p = 1.0 - delta
-    k = int(np.ceil(p * reps))
-    lo_rank = _binom_ppf(0.025, reps, p)
-    hi_rank = _binom_ppf(0.975, reps, p) + 1
-    lo_rank = min(max(lo_rank, 1), k)
-    hi_rank = max(min(hi_rank, reps), k)
-    return ScalingQuantile(
-        alpha_hat=float(stats[k - 1]),
-        ci_low=float(stats[lo_rank - 1]),
-        ci_high=float(stats[hi_rank - 1]),
-        delta=float(delta),
-        reps=int(reps),
-        key=key,
-    )
+def _warn_at_caller(message: str) -> None:
+    """UserWarning at the first frame outside this package, however deep the
+    call chain into it (Python 3.12's skip_file_prefixes, by hand)."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, UserWarning, stacklevel=level)
+
+
+def exact_quantile(spec: LimitDrawSpec, delta: float) -> ScalingQuantile:
+    """The exact F(d, m-d) quantile of an evenly weighted spec.
+
+    Only equal weights make the limit law an F law, so any other spec
+    raises ValueError. reps = 0 in the key marks a quantile that is exact,
+    not Monte Carlo.
+    """
+    if any(x != spec.w[0] for x in spec.w):
+        raise ValueError("the exact F quantile needs equal weights")
+    alpha = f_quantile(spec.d, spec.m - spec.d, 1.0 - delta)
+    return ScalingQuantile(alpha_hat=alpha, ci_low=alpha, ci_high=alpha, delta=delta, reps=0,
+                           key=(spec.d, spec.m, weights_key(spec.w), float(delta), 0, -1))
 
 
 def _binom_ppf(q: float, n: int, p: float) -> int:

@@ -176,8 +176,7 @@ def _cmd_infer(args) -> None:
         }
     if args.mode in ("marginal", "both"):
         sq1 = estimate_alpha(
-            LimitDrawSpec(1, plan.m, tuple(plan.weights)), args.delta,
-            args.cal_reps, args.seed,
+            spec_from_plan(plan, 1), args.delta, args.cal_reps, args.seed,
             cache=cache, threads=args.threads,
         )
         iv = marginal_intervals(summary, sq1)

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import _bmi_plan, _exact_quantile, _section_plan, bmi_from_stats
+from .baselines import _bmi_plan, _section_plan, bmi_from_stats
 from .batching import (
     Allocation,
     BatchMeansSummary,
@@ -42,20 +42,13 @@ from .calibration import (
     LimitDrawSpec,
     QuantileCache,
     ScalingQuantile,
-    _alpha_key,
-    _order_statistics,
-    _submit_chunks,
     estimate_alpha,
+    exact_quantile,
     spec_from_plan,
+    submit_alpha,
 )
 from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, SgdciError
-from .inference import (
-    VolumeFactor,
-    _det_sqrts,
-    _volume_factor,
-    build_region,
-    marginal_intervals,
-)
+from .inference import VolumeFactor, build_region, marginal_intervals, submit_volume_factor
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
 from .sgd import _BLOCK_DOUBLES, SgdRunConfig, StepSchedule, run_chains
@@ -232,7 +225,7 @@ def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
             spec, cfg.delta, cfg.cal_reps, cfg.cal_seed, cache=cache, threads=threads
         )
     elif mth.startswith("sectioning"):
-        alpha = _exact_quantile(d if joint else 1, plan, cfg.delta)
+        alpha = exact_quantile(spec_from_plan(plan, d if joint else 1), cfg.delta)
 
     def verdict(s: BatchMeansSummary):
         # (covered, stat): stat is the quadratic form for a region and the
@@ -331,46 +324,38 @@ def run_volume_study(
 
     Row i holds what estimate_alpha (with this cache and base_seed) and
     expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
-    batch count m_list[i]; every cell is checked before the first draw.
+    batch count m_list[i]; every argument is checked before the first draw.
     All draws run on one pool of `threads` workers (None: every core): the
-    next cell's calibration chunks and determinant pass are submitted before
-    this cell is decided on the calling thread, which writes the cache in m
-    order, so at most two cells' draws are held at once. A cache hit submits
-    no calibration chunks.
+    next cell's submit_alpha and submit_volume_factor are called before this
+    cell's finishers run on the calling thread, which writes the cache in m
+    order, so at most two cells' draws are held at once.
     """
     det_n = det_reps if det_reps is not None else reps
     if det_n < 1:
         raise ValueError(f"det_reps must be >= 1, got {det_n}")
-    cells = []
+    specs = []
     for m in m_list:
         if m <= d:
             raise ValueError(f"volume study needs m > d, got m={m}, d={d}")
-        spec = LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation)))
-        cells.append((spec, _alpha_key(spec, delta, reps, base_seed)))
+        specs.append(LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation))))
 
-    def submit(spec, key):
-        hit = cache.get(key) if cache is not None else None
-        chunks = [] if hit is not None else _submit_chunks(pool, spec, reps, base_seed)
-        stream = derive_stream(base_seed, 7_000_000 + spec.m)
-        return spec, key, hit, chunks, pool.submit(_det_sqrts, spec, det_n, stream)
+    def submit(spec):
+        # the first cell's submit_alpha checks delta and reps, which every cell shares
+        return (submit_alpha(pool, spec, delta, reps, base_seed, cache),
+                submit_volume_factor(pool, spec, det_n,
+                                     derive_stream(base_seed, 7_000_000 + spec.m)))
 
-    def decide(spec, key, hit, chunks, dets) -> VolumeRow:
-        sq = hit
-        if sq is None:
-            sq = _order_statistics(key, chunks)
-            if cache is not None:
-                cache.put(sq)
-        return VolumeRow(
-            d=d, m=spec.m, allocation=allocation.kind, delta=delta, reps=reps,
-            det_reps=det_n, base_seed=base_seed,
-            factor=_volume_factor(d, spec.m, sq, dets.result()), alpha=sq,
-        )
+    def decide(alpha, factor) -> VolumeRow:
+        sq = alpha()
+        vf = factor(sq)
+        return VolumeRow(d=d, m=vf.m, allocation=allocation.kind, delta=delta, reps=reps,
+                         det_reps=det_n, base_seed=base_seed, factor=vf, alpha=sq)
 
     rows, ahead = [], []
     pool = ThreadPoolExecutor(max_workers=_worker_count(threads))
     try:
-        for cell in cells:
-            ahead.append(submit(*cell))
+        for spec in specs:
+            ahead.append(submit(spec))
             if len(ahead) == 2:
                 rows.append(decide(*ahead.pop(0)))
         if ahead:

@@ -17,7 +17,9 @@ changes the confidence level.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,48 +150,55 @@ def expected_volume_factor(
 ) -> VolumeFactor:
     """v_d = (d(m-1)/(m(m-d)))^{d/2} * E[det(g)^{1/2}] * alpha^{d/2}.
 
-    E[det(g)^{1/2}] is estimated over skeleton draws; the reported standard
-    error combines that sampling error with the quantile's own confidence
-    interval through first-order propagation.
+    What submit_volume_factor's finisher gives for alpha, with the
+    determinant pass run on a worker thread.
     """
     spec = LimitDrawSpec(d=d, m=m, w=tuple(np.asarray(w, dtype=float)))
     _check_key(alpha, d, m, spec.w)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return submit_volume_factor(pool, spec, reps, gen)(alpha)
+
+
+def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
+                         gen: np.random.Generator) -> Callable[[ScalingQuantile], VolumeFactor]:
+    """Start the determinant pass on pool; returns a finisher alpha -> VolumeFactor.
+
+    The pass takes det(g)^{1/2} of reps skeleton draws from gen (0 where
+    det(g) <= 0) and averages them into E[det(g)^{1/2}]. The finisher checks
+    that alpha was calibrated for spec; the reported standard error combines
+    the pass's sampling error with the quantile's own confidence interval
+    through first-order propagation.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    return _volume_factor(d, m, alpha, _det_sqrts(spec, reps, gen))
 
+    def det_sqrts() -> np.ndarray:
+        dets = np.empty(reps)
+        done = 0
+        for G, _ in _gram_blocks(spec, gen, reps, with_z=False):
+            sign, logdet = np.linalg.slogdet(G)
+            dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
+            done += len(G)
+        return dets
 
-def _det_sqrts(spec: LimitDrawSpec, reps: int, gen: np.random.Generator) -> np.ndarray:
-    """det(g)^{1/2} of reps skeleton draws from gen; 0 where det(g) <= 0."""
-    dets = np.empty(reps)
-    done = 0
-    for G, _ in _gram_blocks(spec, gen, reps, with_z=False):
-        sign, logdet = np.linalg.slogdet(G)
-        dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
-        done += len(G)
-    return dets
+    pending = pool.submit(det_sqrts)
 
+    def finish(alpha: ScalingQuantile) -> VolumeFactor:
+        d, m = spec.d, spec.m
+        _check_key(alpha, d, m, spec.w)
+        dets = pending.result()
+        e_det = float(dets.mean())
+        se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        cfac = _joint_constant(d, m) ** (d / 2.0)
+        v = cfac * e_det * alpha.alpha_hat ** (d / 2.0)
+        se_alpha = (alpha.ci_high - alpha.ci_low) / (2 * 1.96)
+        rel = 0.0
+        if e_det > 0:
+            rel += (se_det / e_det) ** 2
+        if alpha.alpha_hat > 0:
+            rel += (d / 2.0 * se_alpha / alpha.alpha_hat) ** 2
+        return VolumeFactor(estimate=v, std_error=v * math.sqrt(rel), d=d, m=m,
+                            alpha_hat=alpha.alpha_hat, e_det_sqrt=e_det, se_det_sqrt=se_det,
+                            reps=reps)
 
-def _volume_factor(d: int, m: int, alpha: ScalingQuantile, dets: np.ndarray) -> VolumeFactor:
-    """The volume factor and its standard error from the determinant draws."""
-    reps = len(dets)
-    e_det = float(dets.mean())
-    se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    cfac = _joint_constant(d, m) ** (d / 2.0)
-    v = cfac * e_det * alpha.alpha_hat ** (d / 2.0)
-    se_alpha = (alpha.ci_high - alpha.ci_low) / (2 * 1.96)
-    rel = 0.0
-    if e_det > 0:
-        rel += (se_det / e_det) ** 2
-    if alpha.alpha_hat > 0:
-        rel += (d / 2.0 * se_alpha / alpha.alpha_hat) ** 2
-    return VolumeFactor(
-        estimate=v,
-        std_error=v * math.sqrt(rel),
-        d=d,
-        m=m,
-        alpha_hat=alpha.alpha_hat,
-        e_det_sqrt=e_det,
-        se_det_sqrt=se_det,
-        reps=reps,
-    )
+    return finish

@@ -13,10 +13,11 @@ m <= d are singular by construction) is separated from harmless round-off.
 The degeneracy studies depend on that separation.
 
 The batched routes elsewhere (np.linalg.solve in calibration._eval_chunk,
-slogdet in inference.expected_volume_factor) serve only limit laws with
-m > d, where a singular matrix has probability zero. A draw whose solve
-fails is redrawn through calibration.simulate_limit_draw, and so decided
-by this rule; slogdet maps a nonpositive sign to a zero determinant.
+slogdet in the determinant pass of inference.submit_volume_factor) serve
+only limit laws with m > d, where a singular matrix has probability zero.
+A draw whose solve fails is redrawn through calibration.simulate_limit_draw,
+and so decided by this rule; slogdet maps a nonpositive sign to a zero
+determinant.
 """
 
 from __future__ import annotations

@@ -151,6 +151,8 @@ def ingest_csv(path, model_kind: str):
                 )
             for col, cell in enumerate(row):
                 try:
+                    if "_" in cell:  # float() reads the digit separator in "1_0" as 10
+                        raise ValueError(cell)
                     data.append(float(cell))
                 except ValueError:
                     raise ParseError(

@@ -11,6 +11,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,26 +21,45 @@ import pytest
 from sgdci import calibration
 from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
 from sgdci.calibration import (
+    MIN_REPS,
     LimitDrawSpec,
     QuantileCache,
     _binom_ppf,
     _chunk_size,
     _eval_chunk,
     estimate_alpha,
+    exact_quantile,
     f_quantile,
     g_of_skeleton,
     simulate_limit_draw,
     spec_from_plan,
+    submit_alpha,
     weights_key,
 )
 from sgdci.errors import DimensionMismatch
-from sgdci.inference import _det_sqrts
+from sgdci.experiments import run_volume_study
+from sgdci.inference import submit_volume_factor
 from sgdci.linalg import det_sqrt
 from sgdci.streams import derive_stream
 
 
 def even_spec(d, m):
     return LimitDrawSpec(d, m, tuple([1.0 / m] * m))
+
+
+def det_draws(spec, n, gen):
+    """det(g)^{1/2} of each of the n draws of a volume factor's determinant
+    pass, which submit_volume_factor hands to its pool as one call."""
+    calls = []
+    submit_volume_factor(SimpleNamespace(submit=calls.append), spec, n, gen)
+    (det_pass,) = calls
+    return det_pass()
+
+
+def finish_on_one_worker(*args):
+    """submit_alpha(pool, *args) and its finisher, on a one-worker pool."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return submit_alpha(pool, *args)()
 
 
 class TestSkeletonCovariance:
@@ -157,6 +179,18 @@ class TestEstimateAlpha:
         with pytest.warns(UserWarning):
             estimate_alpha(even_spec(4, 6), 0.05, 10**4, 3)
 
+    @pytest.mark.parametrize("start", [
+        lambda spec: estimate_alpha(spec, 0.05, MIN_REPS, 3, threads=1),
+        lambda spec: finish_on_one_worker(spec, 0.05, MIN_REPS, 3),
+        lambda spec: run_volume_study(spec.d, [spec.m], Allocation(kind="es"), 0.05,
+                                      MIN_REPS, 3, det_reps=10, threads=1),
+    ], ids=["estimate_alpha", "submit_alpha", "run_volume_study"])
+    def test_heavy_tail_warning_points_at_the_caller(self, start):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start(even_spec(1, 4))
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+
     def test_deterministic(self):
         a = estimate_alpha(even_spec(1, 6), 0.05, 10**4, 9)
         b = estimate_alpha(even_spec(1, 6), 0.05, 10**4, 9)
@@ -197,7 +231,7 @@ class TestEstimateAlpha:
         results = []
         for size in (64, 2**15, calibration._BLOCK_DOUBLES, 2**19):  # 64: 16-draw blocks
             monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", size)
-            results.append((_eval_chunk(spec, n, 2, 8), _det_sqrts(spec, n, derive_stream(3))))
+            results.append((_eval_chunk(spec, n, 2, 8), det_draws(spec, n, derive_stream(3))))
         for stats, dets in results[1:]:
             assert np.array_equal(stats, results[0][0])
             assert np.array_equal(dets, results[0][1])
@@ -363,3 +397,19 @@ class TestFQuantile:
             f_quantile(0, 5, 0.95)
         with pytest.raises(ValueError):
             f_quantile(1, 5, 1.0)
+
+
+class TestExactQuantile:
+    def test_even_weights_give_the_f_quantile(self):
+        # an even-split plan's weights are bitwise equal, as are ideal es weights
+        for spec in (spec_from_plan(make_plan(5000, 10, Allocation(kind="es")), 2),
+                     LimitDrawSpec(3, 12, tuple(ideal_weights(12, Allocation(kind="es"))))):
+            sq = exact_quantile(spec, 0.05)
+            alpha = f_quantile(spec.d, spec.m - spec.d, 0.95)
+            assert (sq.alpha_hat, sq.ci_low, sq.ci_high, sq.reps) == (alpha, alpha, alpha, 0)
+            assert sq.key == (spec.d, spec.m, weights_key(spec.w), 0.05, 0, -1)
+
+    def test_uneven_weights_refused(self):
+        spec = LimitDrawSpec(1, 10, tuple(ideal_weights(10, Allocation(kind="ibs", r=0.5))))
+        with pytest.raises(ValueError, match="equal weights"):
+            exact_quantile(spec, 0.05)

@@ -2,14 +2,21 @@
 
 import csv
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sgdci import experiments, sgd
+from sgdci import calibration, experiments, inference, sgd
 from sgdci.baselines import bmi_infer, sectioning_infer
 from sgdci.batching import Allocation, accumulate, ideal_weights, make_plan
-from sgdci.calibration import LimitDrawSpec, QuantileCache, estimate_alpha, spec_from_plan
+from sgdci.calibration import (
+    MIN_REPS,
+    LimitDrawSpec,
+    QuantileCache,
+    estimate_alpha,
+    spec_from_plan,
+)
 from sgdci.errors import NonFiniteIterate, SgdciError
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
@@ -435,10 +442,10 @@ class TestVolumeStudy:
             )
 
     @staticmethod
-    def _study(cache, threads=1, m_list=(7, 20), det_reps=5000):
+    def _study(cache, threads=1, m_list=(7, 20), det_reps=5000, delta=0.05, reps=10000):
         return run_volume_study(
             d=2, m_list=list(m_list), allocation=Allocation(kind="ibs", r=2.0 / 3.0),
-            delta=0.05, reps=10000, base_seed=31, det_reps=det_reps,
+            delta=delta, reps=reps, base_seed=31, det_reps=det_reps,
             cache=cache, threads=threads,
         )
 
@@ -467,12 +474,22 @@ class TestVolumeStudy:
         assert self._study(QuantileCache(path), threads=2) == cold
         assert path.read_bytes() == blob and path.stat().st_mtime_ns == mtime
 
-    @pytest.mark.parametrize("bad", [{"m_list": (7, 2)}, {"det_reps": 0}])
-    def test_bad_cell_raises_before_any_draw(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", [{"m_list": (7, 2)}, {"det_reps": 0}, {"delta": 0.0},
+                                     {"reps": MIN_REPS - 1}])
+    def test_bad_cell_raises_before_any_draw(self, tmp_path, monkeypatch, bad):
+        # the pool runs each submission at once, so a calibration chunk or a
+        # determinant pass submitted before the error is recorded rather than
+        # cancelled when the pool shuts down
+        drawn = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", lambda max_workers: SimpleNamespace(
+            submit=lambda fn, *args: fn(*args), shutdown=lambda cancel_futures: None))
+        monkeypatch.setattr(calibration, "_eval_chunk", lambda *args: drawn.append(args))
+        monkeypatch.setattr(inference, "_gram_blocks",
+                            lambda *args, **kwargs: drawn.append(args) or iter(()))
         path = tmp_path / "q.json"
         with pytest.raises(ValueError):
             self._study(QuantileCache(path), **bad)
-        assert not path.exists()
+        assert drawn == [] and not path.exists()
 
 
 class TestDetStudy:

@@ -131,9 +131,10 @@ class TestIngestCsv:
             ingest_csv(p, "linear")
 
     def test_bad_cell_diagnostics(self, tmp_path):
-        # unparsable text, and parsable but non-finite values, which would
-        # otherwise surface as a diverging iterate steps later
-        for cell in ("oops", "nan", "inf", "-inf"):
+        # unparsable text, a digit separator float() would accept (1_0 as
+        # 10.0), and parsable but non-finite values, which would otherwise
+        # surface as a diverging iterate steps later
+        for cell in ("oops", "1_0", "nan", "inf", "-inf"):
             text = f"a_1,a_2,b\n1.0,0.5,2.0\n1.0,{cell},3.0\n0.5,nan,1.0\n"
             p = self._write(tmp_path, text)
             with pytest.raises(ParseError) as exc:
