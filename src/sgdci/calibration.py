@@ -317,7 +317,7 @@ def estimate_alpha(
     """Empirical (1-delta)-quantile of the limiting statistic.
 
     What submit_alpha's finisher gives, with the chunks run on a pool of
-    `threads` workers (None: every core); the result does not depend on it.
+    `threads` workers (None: every usable CPU); no result depends on it.
     """
     with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
         return submit_alpha(pool, spec, delta, reps, base_seed, cache)()

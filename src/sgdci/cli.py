@@ -288,8 +288,8 @@ def _cmd_compare(args) -> None:
         write_coverage_csv(reports, args.out)
 
 
-# Every flag once, as argparse keywords. The --threads default, every core,
-# is read whenever a parser is built (see _parsers).
+# Every flag once, as argparse keywords. The --threads default, every CPU
+# this process may run on, is read whenever a parser is built (see _parsers).
 FLAGS = {
     "--data": {"required": True, "help": "CSV with header a_1,...,a_d,b"},
     "--model": {"choices": list(ORACLES), "required": True},

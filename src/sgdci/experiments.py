@@ -150,9 +150,9 @@ def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
 
 def _section_group(sections: int, d: int) -> int:
     """Replications per group of the sectioning pass: isqrt(_BLOCK_DOUBLES)
-    chains (724), and no more than fit run_chains' 64-step floor in the
-    block, _BLOCK_DOUBLES // (64 * (d + 1)) (390 at d = 20), rounded down to
-    whole replications, at least one.
+    chains (724), and no more than fit run_chains' 64-step floor in its
+    chain-major block, _BLOCK_DOUBLES // (64 * (d + 1)) (390 at d = 20),
+    rounded down to whole replications, at least one.
 
     A smaller group steps more often in Python for the same chains; a larger
     one makes run_chains' block shallower, so each chain draws more often.
@@ -262,16 +262,10 @@ def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
     effective = R - degenerate  # >= 0.99 R after the check above
     coverage = hits / effective
     half_width = 1.96 * math.sqrt(coverage * (1.0 - coverage) / effective)
-    return CoverageReport(
-        config=cfg,
-        hits=hits,
-        degenerate=degenerate,
-        coverage=coverage,
-        half_width=half_width,
-        alpha_used=None if alpha is None else alpha.alpha_hat,
-        replication_log=log,
-        wall_time=stepping_s + time.perf_counter() - t0,
-    )
+    return CoverageReport(config=cfg, hits=hits, degenerate=degenerate, coverage=coverage,
+                          half_width=half_width,
+                          alpha_used=None if alpha is None else alpha.alpha_hat,
+                          replication_log=log, wall_time=stepping_s + time.perf_counter() - t0)
 
 
 def run_coverage(
@@ -288,7 +282,7 @@ def run_coverage(
     if they exceed one percent of replications. Marginal methods record the
     average coverage across the d coordinates of each replication. A
     diverging chain raises NonFiniteIterate. `threads` workers (None: every
-    core) fill the chains' input blocks and run a cold calibration.
+    usable CPU) fill the chains' input blocks and run a cold calibration.
     """
     t0 = time.perf_counter()
     plan = _cell_plan(config)
@@ -325,7 +319,7 @@ def run_volume_study(
     Row i holds what estimate_alpha (with this cache and base_seed) and
     expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
     batch count m_list[i]; every argument is checked before the first draw.
-    All draws run on one pool of `threads` workers (None: every core): the
+    All draws run on one pool of `threads` workers (None: all usable CPUs): the
     next cell's submit_alpha and submit_volume_factor are called before this
     cell's finishers run on the calling thread, which writes the cache in m
     order, so at most two cells' draws are held at once.
@@ -517,23 +511,17 @@ def write_coverage_csv(reports, path) -> None:
 def write_volume_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "d", "m", "allocation", "delta", "reps", "det_reps", "base_seed",
-                "v", "se", "alpha", "alpha_ci_low", "alpha_ci_high",
-                "e_det_sqrt", "se_det_sqrt",
-            ]
-        )
+        writer.writerow(["d", "m", "allocation", "delta", "reps", "det_reps", "base_seed",
+                         "v", "se", "alpha", "alpha_ci_low", "alpha_ci_high",
+                         "e_det_sqrt", "se_det_sqrt"])
         for r in rows:
-            writer.writerow(
-                [
-                    r.d, r.m, r.allocation, r.delta, r.reps, r.det_reps,
-                    r.base_seed, f"{r.factor.estimate:.8g}",
-                    f"{r.factor.std_error:.8g}", f"{r.alpha.alpha_hat:.8g}",
-                    f"{r.alpha.ci_low:.8g}", f"{r.alpha.ci_high:.8g}",
-                    f"{r.factor.e_det_sqrt:.8g}", f"{r.factor.se_det_sqrt:.8g}",
-                ]
-            )
+            writer.writerow([
+                r.d, r.m, r.allocation, r.delta, r.reps, r.det_reps,
+                r.base_seed, f"{r.factor.estimate:.8g}",
+                f"{r.factor.std_error:.8g}", f"{r.alpha.alpha_hat:.8g}",
+                f"{r.alpha.ci_low:.8g}", f"{r.alpha.ci_high:.8g}",
+                f"{r.factor.e_det_sqrt:.8g}", f"{r.factor.se_det_sqrt:.8g}",
+            ])
 
 
 def write_det_csv(dets, path, *, model: str, d: int, m: int, T: int,

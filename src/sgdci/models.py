@@ -2,17 +2,19 @@
 
 Two families: least squares with Gaussian noise, and logistic regression
 with labels in {-1, +1}. `linear_gradient` and `logistic_gradient` are the
-package's only gradient formulas; they work row by row, so the driver
-applies them to every chain of a step at once. Every oracle, synthetic or
-replayed, steps through one row gradient on inputs laid out as rows
-(a, b), a in the first d columns and the response b in the last. Covariates
+package's only gradient formulas, and each is an oracle's gradient as it
+stands: gradient(x, a, b) works row by row, so the driver applies it to
+every chain of a step at once. Every oracle, synthetic or replayed, fills
+rows (a, b), a in the first d columns and the response b in the last, into
+the slice of the driver's block that draw(gen, out) is handed. Covariates
 are standard normal in both synthetic models. Each synthetic oracle draws
 exactly d + 1 standard normal variates per step (d for the covariate
-vector, one for the response channel), and its block hook turns a whole
-block of them into rows (a, b) in place, so the response x*^T a is computed
-once per block, not once per step; the logistic label turns its normal
-variate into a uniform through the normal CDF. A CSV dataset is replayed
-from an (n, d + 1) array of rows (a, b), one row per step, to one chain.
+vector, one for the response channel) straight into out, and its block
+hook turns a slice of (chains, steps) rows into rows (a, b) in place, so
+the response x*^T a is computed once per block, not once per step; the
+logistic label turns its normal variate into a uniform through the normal
+CDF. A CSV dataset is replayed from an (n, d + 1) array of rows (a, b), one
+row per step, to one chain.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ def logistic_gradient(x: np.ndarray, a: np.ndarray, b) -> np.ndarray:
     return coef[..., None] * a
 
 
-def _row_oracle(d: int, grad, draw, prepare=None) -> GradientOracle:
-    """An oracle whose prepared inputs are rows (a, b), stepped through grad."""
-    return GradientOracle(dim=d, draw=draw, prepare=prepare,
-                          gradient=lambda x, z: grad(x, z[:, :d], z[:, d]))
+def _draw_normals(gen: np.random.Generator, out: np.ndarray) -> None:
+    # the same normals, in the same order, as gen.standard_normal(out.shape)
+    gen.standard_normal(out=out)
 
 
 def linear_oracle(params: TrueParams) -> GradientOracle:
@@ -79,8 +80,7 @@ def linear_oracle(params: TrueParams) -> GradientOracle:
         # the number of rows, and one chain must equal its single run
         z[..., d] += np.einsum("...d,d->...", z[..., :d], xs)
 
-    return _row_oracle(d, linear_gradient, lambda gen, n: gen.standard_normal((n, d + 1)),
-                       prepare)
+    return GradientOracle(dim=d, draw=_draw_normals, gradient=linear_gradient, prepare=prepare)
 
 
 def logistic_oracle(params: TrueParams) -> GradientOracle:
@@ -91,8 +91,8 @@ def logistic_oracle(params: TrueParams) -> GradientOracle:
         z[..., d] = np.where(
             ndtr(z[..., d]) < expit(np.einsum("...d,d->...", z[..., :d], xs)), 1.0, -1.0)
 
-    return _row_oracle(d, logistic_gradient, lambda gen, n: gen.standard_normal((n, d + 1)),
-                       prepare)
+    return GradientOracle(dim=d, draw=_draw_normals, gradient=logistic_gradient,
+                          prepare=prepare)
 
 
 ORACLES = {"linear": linear_oracle, "logistic": logistic_oracle}
@@ -103,21 +103,19 @@ def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
     ValueError, since one cursor cannot feed two chains."""
     cursor, owner = [0], []
 
-    def draw(gen, n):
+    def draw(gen, out):
         if not owner:
             owner.append(gen)
         elif owner[0] is not gen:
             raise ValueError("a replayed dataset feeds one chain; a second generator drew from it")
-        i = cursor[0]
+        i, n = cursor[0], len(out)
         if i + n > len(rows):
-            raise ExhaustedData(
-                f"data provides {len(rows)} rows; the run requested more"
-            )
+            raise ExhaustedData(f"data provides {len(rows)} rows; the run requested more")
         cursor[0] = i + n
-        return rows[i:i + n]
+        out[:] = rows[i:i + n]
 
     grad = linear_gradient if model_kind == "linear" else logistic_gradient
-    return _row_oracle(rows.shape[1] - 1, grad, draw)
+    return GradientOracle(dim=rows.shape[1] - 1, draw=draw, gradient=grad)
 
 
 def ingest_csv(path, model_kind: str):

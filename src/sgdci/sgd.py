@@ -9,10 +9,12 @@ are simply not averaged. `run_chains` is the one stepping loop; a single run
 of a replicated study agree, and fail the same way, by construction. One
 call batches the same iterates under several plans at once: each plan keeps
 its own batch sums, added in step order, so its batch means are those of a
-separate run, bit for bit. Each block of inputs is drawn and prepared in full
-before the first of its steps, over contiguous ranges of chains on a pool
-made for the call; every chain draws its own stream in order, so the thread
-count changes no bit.
+separate run, bit for bit. Inputs are rows (a, b) in a chain-major block,
+(R, depth, d + 1): each chain draws in place into its own contiguous slice,
+and step s reads row s of every chain. Each block is drawn and prepared in
+full before the first of its steps, over contiguous ranges of chains on a
+pool made for the call; every chain draws its own stream in order, so the
+thread count changes no bit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .streams import _worker_count
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
-# run_chains' input-block budget in doubles (4 MB); see its docstring.
+# run_chains' input-block budget in doubles (4 MB) and prepare slice rows
 _BLOCK_DOUBLES = 1 << 19
+_SLICE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -50,31 +53,33 @@ class StepSchedule:
 class GradientOracle:
     """Source of unbiased stochastic gradients, batched over chains.
 
-    ``draw(gen, n)`` returns one chain's inputs for its next n steps, shape
-    (n, k), from that chain's generator; one call for n steps must return
-    what n calls for one step would. run_chains may call draw for different
-    chains at the same time, so draw may touch only its own gen. The
-    optional ``prepare(block)`` turns raw inputs of shape (n, chains, k), in
-    place, into what gradient reads, say normals into rows (a, b); it runs
-    once per block and chain range, never per step, and must treat every
-    (step, chain) row alone. ``gradient(X, inputs)`` maps iterates (R, d)
-    and one step's prepared inputs (R, k) to gradients (R, d), and must be a
+    Inputs are rows (a, b), a the first d of d + 1 columns. ``draw(gen,
+    out)`` fills one chain's next n rows into out, C-contiguous (n, d + 1),
+    from that chain's generator; one call for n rows must write what n
+    calls for one row would. run_chains may call draw for different chains
+    at the same time, so draw may touch only its own gen and out. The
+    optional ``prepare(block)`` turns drawn rows (chains, n, d + 1), in
+    place, into the rows gradient reads, say normals into (a, b); it runs
+    once per block and slice of chains, never per step, and must treat
+    every row alone. ``gradient(X, a, b)`` maps iterates (R, d) and one
+    step's rows, a (R, d) and b (R,), to gradients (R, d), and must be a
     pure function of its arguments. The conditional mean of a gradient
     given x must be the true gradient of the target loss; noise moment
     conditions are the caller's responsibility and are not checked.
     """
 
     dim: int
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    draw: Callable[[np.random.Generator, np.ndarray], None]
+    gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     prepare: Optional[Callable[[np.ndarray], None]] = None
 
     def next_gradient(self, x, gen: np.random.Generator) -> np.ndarray:
         """One step's gradient at x, shape (dim,), drawing from gen."""
-        z = np.array(self.draw(gen, 1), dtype=float)  # prepare writes to its own copy
+        z = np.empty((1, 1, self.dim + 1))
+        self.draw(gen, z[0])
         if self.prepare is not None:
-            self.prepare(z[:, None])
-        return self.gradient(np.asarray(x, dtype=float)[None], z)[0]
+            self.prepare(z)
+        return self.gradient(np.asarray(x, dtype=float)[None], z[0, :, :-1], z[0, :, -1])[0]
 
 
 @dataclass
@@ -99,24 +104,26 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     plans is a sequence of integer boundary arrays, each
     0 = tau_0 < ... < tau_m = config.T; returns one (xi, xbar) per plan,
     with xi of shape (m, R, d) and xbar of shape (R, d). Every chain starts
-    at config.x0 (zero if None); chain j draws its inputs from gens[j] in
-    blocks of up to 4096 steps, the inputs of all chains for one block
-    held in one buffer of at most _BLOCK_DOUBLES (2^19) doubles, 4 MB,
-    unless 64 steps of all chains, R * (d + 1) * 64 doubles, exceed that.
-    A block is drawn and prepared in full before its first step: chain 0
-    draws first on the calling thread, then the chains split into
-    min(threads, R) contiguous ranges (threads None: every core), the
-    calling thread filling the first and a pool made for the call the rest;
-    at R = 1 everything runs inline. If draw or prepare raises, run_chains
-    raises the exception of the lowest failing range once every range has
-    stopped. observer, if given, receives the (R, d) iterates of every step
-    after burn-in. A chain that leaves the finite range raises
-    NonFiniteIterate with its global step index and its index (the lowest,
-    if several leave at that step) as the replication. The check runs once
-    per block, so observer may have received the iterates of the block in
-    which a chain diverged.
+    at config.x0 (zero if None); chain j draws from gens[j], at least one,
+    in blocks of up to 4096 steps, into its contiguous slice of one
+    chain-major (R, depth, d + 1) block of at most _BLOCK_DOUBLES (2^19)
+    doubles, 4 MB, unless 64 steps of all chains exceed that. A block is
+    drawn and prepared in full before its first step: the chains split into
+    min(threads, R) contiguous ranges (threads None: every usable CPU), the
+    calling thread filling the first and a pool made for the call the rest,
+    each range prepared in slices of at most _SLICE_ROWS rows or one chain;
+    at R = 1 everything runs inline.
+    If draw or prepare raises, run_chains raises the exception of the
+    lowest failing range once every range has stopped. observer, if given,
+    receives the (R, d) iterates of every step after burn-in. A chain that
+    leaves the finite range raises NonFiniteIterate with its global step
+    index and its index (the lowest, if several leave at that step) as the
+    replication. The check runs once per block, so observer may have
+    received the iterates of the block in which a chain diverged.
     """
     R, d = len(gens), oracle.dim
+    if R == 0:
+        raise ValueError("run_chains needs at least one generator")
     T, burn = config.T, config.burn_in
     bounds = [np.asarray(b, dtype=np.int64) for b in plans]
     if any(b[0] != 0 or b[-1] != T for b in bounds):
@@ -125,29 +132,25 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     if x0.shape != (d,):
         raise OracleDimensionMismatch(f"x0 has shape {x0.shape}, oracle dimension is {d}")
     x = np.tile(x0, (R, 1))
-    # per plan: its batch sums and the batch index of each post-burn-in step
-    batched = [(np.zeros((len(b) - 1, R, d)),
-                np.searchsorted(b, np.arange(T), side="right") - 1) for b in bounds]
+    # per plan: batch sums, and a view of the row step k adds to, taken where a batch opens
+    sums = [np.zeros((len(b) - 1, R, d)) for b in bounds]
+    opens = set().union(*(b[:-1].tolist() for b in bounds))
     total = burn + T
-    chunk = min(total, max(64, min(4096, _BLOCK_DOUBLES // max(1, R * (d + 1)))))
-    inputs = None  # (chunk, R, k), allocated once chain 0's first block shows k
+    depth = min(total, max(64, min(4096, _BLOCK_DOUBLES // (R * (d + 1)))))
+    block = np.empty((R, depth, d + 1))
     a_sched, r_sched = config.schedule.a, config.schedule.r
     workers = min(_worker_count(threads), R)
     edges = [R * i // workers for i in range(workers + 1)]
     ranges = list(zip(edges[:-1], edges[1:]))
 
     def fill(lo, hi, c):
-        # chains lo..hi-1 of one block of c steps; chain 0 is already drawn
-        for j in range(max(lo, 1), hi):
-            inputs[:c, j] = oracle.draw(gens[j], c)
+        # chains lo..hi-1 of one block of c steps, then prepared slice by slice
+        for j in range(lo, hi):
+            oracle.draw(gens[j], block[j, :c])
         if oracle.prepare is not None:
-            oracle.prepare(inputs[:c, lo:hi])
-
-    def advance(x, step_inputs, tt):
-        g = oracle.gradient(x, step_inputs)
-        if g.shape != x.shape:
-            raise OracleDimensionMismatch(f"oracle returned shape {g.shape}, expected {x.shape}")
-        return x - (a_sched * tt ** (-r_sched)) * g
+            step = max(1, _SLICE_ROWS // c)
+            for i in range(lo, hi, step):
+                oracle.prepare(block[i:min(hi, i + step), :c])
 
     # Overflow on the way to NonFiniteIterate is expected; the exception is
     # the one signal a diverging chain gives. The pool starts no thread at
@@ -156,38 +159,42 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
             ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         t = 0
         while t < total:
-            c = min(chunk, total - t)
-            block = oracle.draw(gens[0], c)
-            if inputs is None:
-                inputs = np.empty((chunk, R) + block.shape[1:])
-            inputs[:c, 0] = block
+            c = min(depth, total - t)
             pending = [pool.submit(fill, lo, hi, c) for lo, hi in ranges[1:]]
             fill(*ranges[0], c)
             for f in pending:
                 f.result()
+            # per step: its size, and views of every chain's row a and response b
+            gammas = [a_sched * tt ** (-r_sched) for tt in range(t + 1, t + c + 1)]
+            steps = list(zip(gammas, block[:, :c, :d].swapaxes(0, 1), block[:, :c, d].T))
             x_start = x
-            for s in range(c):
-                tt = t + s + 1
-                x = advance(x, inputs[s], tt)
-                k = tt - burn - 1
+            for s, (gamma, a, b) in enumerate(steps):
+                g = oracle.gradient(x, a, b)
+                if s == 0 and g.shape != x.shape:
+                    raise OracleDimensionMismatch(
+                        f"oracle returned shape {g.shape}, expected {x.shape}")
+                x = x - gamma * g
+                k = t + s - burn
                 if k >= 0:
-                    for plan_sums, step_batch in batched:
-                        plan_sums[step_batch[k]] += x
+                    if k in opens:
+                        views = [p[np.searchsorted(bd, k, side="right") - 1]
+                                 for p, bd in zip(sums, bounds)]
+                    for v in views:
+                        v += x
                     if observer is not None:
                         observer(x)
             if not np.isfinite(x).all():
                 # A non-finite coordinate never turns finite again, so one check
                 # per block sees every divergence; replay the block to find it.
                 x = x_start
-                for s in range(c):
-                    x = advance(x, inputs[s], t + s + 1)
+                for s, (gamma, a, b) in enumerate(steps):
+                    x = x - gamma * oracle.gradient(x, a, b)
                     bad = ~np.isfinite(x).all(axis=1)
                     if bad.any():
                         raise NonFiniteIterate(t + s + 1, replication=int(np.argmax(bad)))
             t += c
-    return [(plan_sums / np.diff(b).astype(float)[:, None, None],
-             plan_sums.sum(axis=0) / float(T))
-            for (plan_sums, _), b in zip(batched, bounds)]
+    return [(p / np.diff(b).astype(float)[:, None, None], p.sum(axis=0) / float(T))
+            for p, b in zip(sums, bounds)]
 
 
 def single_run(oracle: GradientOracle, config: SgdRunConfig, gen: np.random.Generator,

@@ -18,8 +18,13 @@ _MASK64 = (1 << 64) - 1
 
 
 def _worker_count(threads: Optional[int]) -> int:
-    """The pool size a threads argument names: None means every core."""
-    return (os.cpu_count() or 1) if threads is None else threads
+    """Pool size for threads: None is every CPU this process may run on; < 1 raises."""
+    if threads is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def derive_stream(base_seed: int, *indices: int) -> np.random.Generator:

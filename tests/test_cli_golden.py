@@ -63,7 +63,7 @@ def help_text(words) -> str:
     """`sgdci <words> --help` at 80 columns on a 4-core host."""
     out = io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
-            mock.patch("os.cpu_count", return_value=4), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1, 2, 3}, create=True), \
             contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
         main([*words, "--help"])
     assert exc.value.code == 0

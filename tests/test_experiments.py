@@ -318,19 +318,27 @@ class TestSectionGroups:
 
         assert peak(300) <= peak(30) + 3 * 2**20
 
+    @staticmethod
+    def _peak(model, d, threads=None):
+        cfg = CoverageConfig(model=model, d=d, T=6000, method="sectioning_marginal",
+                             m=30, alloc=Allocation(kind="ibs"), replications=48, base_seed=0)
+        tracemalloc.start()
+        try:
+            experiments._trajectory(cfg, [experiments._cell_plan(cfg)], threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_block_stays_in_budget_at_large_d(self):
         # at d = 20 a 720-chain group would need 64 * 720 * 21 doubles (7.7 MB)
         # for run_chains' 64-step floor; the group rule caps it at 390 chains
-        cfg = CoverageConfig(model="linear", d=20, T=6000, method="sectioning_marginal",
-                             m=30, alloc=Allocation(kind="ibs"), replications=48, base_seed=0)
         assert experiments._section_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
-        tracemalloc.start()
-        try:
-            experiments._trajectory(cfg, [experiments._cell_plan(cfg)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 8 * sgd._BLOCK_DOUBLES
+        assert self._peak("linear", 20) <= 1.5 * 8 * sgd._BLOCK_DOUBLES
+        # at d = 2 the 720-chain block is 242 steps deep; the block hook works
+        # in slices of at most _SLICE_ROWS rows, so its temporaries (einsum,
+        # ndtr, expit, comparison, where) stay small beside the 4 MB block
+        for model in ("linear", "logistic"):
+            assert self._peak(model, 2, threads=2) <= 1.125 * 8 * sgd._BLOCK_DOUBLES, model
 
 
 def _separate_cells(model, d, T, m, alloc, replications, base_seed, **kw):

@@ -34,14 +34,14 @@ def test_schedule_defaults():
     assert s.r == pytest.approx(2.0 / 3.0)
 
 
-def _no_inputs(gen, n):
-    return np.empty((n, 0))
+def _no_inputs(gen, out):
+    """Draws nothing; the rows stay as the block left them."""
 
 
 def _noiseless(x_star):
     x_star = np.asarray(x_star, dtype=float)
     return GradientOracle(dim=x_star.shape[0], draw=_no_inputs,
-                          gradient=lambda x, inputs: x - x_star)
+                          gradient=lambda x, a, b: x - x_star)
 
 
 def test_fixed_point_stays_put():
@@ -105,7 +105,7 @@ def test_run_is_deterministic_under_lineage():
 
 def test_oracle_shape_mismatch_detected():
     bad = GradientOracle(dim=2, draw=_no_inputs,
-                         gradient=lambda x, inputs: np.zeros((len(x), 3)))
+                         gradient=lambda x, a, b: np.zeros((len(x), 3)))
     with pytest.raises(OracleDimensionMismatch):
         run_sgd(bad, SgdRunConfig(T=1), derive_stream(0))
 
@@ -120,7 +120,7 @@ def test_x0_shape_mismatch_detected():
 
 
 def test_nonfinite_iterate_reports_step_index():
-    def explode(x, inputs):
+    def explode(x, a, b):
         return np.full(x.shape, np.inf)
 
     with pytest.raises(NonFiniteIterate) as exc:
@@ -302,10 +302,10 @@ class TestThreadedFills:
         gens = [derive_stream(68, j) for j in range(self.R)]
         errors = {id(gens[j]): RuntimeError(f"chain {j}") for j in failing}
 
-        def draw(gen, n):
+        def draw(gen, out):
             if id(gen) in errors:
                 raise errors[id(gen)]
-            return base.draw(gen, n)
+            base.draw(gen, out)
 
         oracle = GradientOracle(dim=2, draw=draw, gradient=base.gradient, prepare=base.prepare)
         before = threading.active_count()
@@ -324,3 +324,43 @@ class TestThreadedFills:
                            [[0, cfg.T]], threads=threads)
             seen.add((exc.value.t, exc.value.replication))
         assert len(seen) == 1
+
+
+def test_no_chains_rejected():
+    with pytest.raises(ValueError, match="at least one generator"):
+        run_chains(linear_oracle(linspace_params(2)), SgdRunConfig(T=10), [], [[0, 10]])
+
+
+class TestBlockLayout:
+    """Each chain draws into its own contiguous slice of the block, and step t
+    hands the gradient row t of every chain, in chain order."""
+
+    R, T, burn = 7, 150, 9  # 64-step blocks: 64, 64 and a short last one of 31
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_rows_reach_their_chain_and_step(self, threads, monkeypatch):
+        monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", 1)
+        gens = [derive_stream(70, j) for j in range(self.R)]
+        chain = {id(g): j for j, g in enumerate(gens)}
+        drawn = [0] * self.R  # rows drawn so far, per chain
+        steps = []
+
+        def draw(gen, out):
+            # writes (chain index, global step) into every row
+            j, n = chain[id(gen)], len(out)
+            assert out.flags.c_contiguous and out.shape == (n, 2)
+            out[:, 0] = j
+            out[:, 1] = np.arange(drawn[j] + 1, drawn[j] + n + 1)
+            drawn[j] += n
+
+        def gradient(x, a, b):
+            steps.append(len(steps) + 1)
+            assert np.array_equal(a[:, 0], np.arange(self.R))
+            assert np.array_equal(b, np.full(self.R, float(steps[-1])))
+            return np.zeros_like(x)
+
+        oracle = GradientOracle(dim=1, draw=draw, gradient=gradient)
+        run_chains(oracle, SgdRunConfig(T=self.T, burn_in=self.burn), gens, [[0, self.T]],
+                   threads=threads)
+        assert steps == list(range(1, self.burn + self.T + 1))
+        assert drawn == [self.burn + self.T] * self.R

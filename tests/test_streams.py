@@ -1,8 +1,16 @@
 """Stream derivation: determinism, distinctness, and moment sanity checks."""
 
-import numpy as np
+import os
 
-from sgdci.streams import derive_stream
+import numpy as np
+import pytest
+
+from sgdci.batching import Allocation
+from sgdci.calibration import LimitDrawSpec, estimate_alpha
+from sgdci.experiments import CoverageConfig, run_coverage, run_volume_study
+from sgdci.models import linear_oracle, linspace_params
+from sgdci.sgd import SgdRunConfig, run_chains
+from sgdci.streams import _worker_count, derive_stream
 
 
 def test_same_lineage_identical():
@@ -54,3 +62,33 @@ def test_entropy_encoding_pinned():
         gen = derive_stream(base, *indices)
         assert isinstance(gen, np.random.Generator)
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8)), (base, indices)
+
+
+_THREADED = {
+    "run_chains": lambda threads: run_chains(
+        linear_oracle(linspace_params(2)), SgdRunConfig(T=10), [derive_stream(0)], [[0, 10]],
+        threads=threads),
+    "run_coverage": lambda threads: run_coverage(
+        CoverageConfig(model="linear", d=2, T=50, method="bmi_marginal", m=5,
+                       alloc=Allocation(kind="es"), replications=2), threads=threads),
+    "estimate_alpha": lambda threads: estimate_alpha(
+        LimitDrawSpec(1, 5, (0.2,) * 5), 0.05, 1000, 0, threads=threads),
+    "run_volume_study": lambda threads: run_volume_study(
+        1, [5], Allocation(kind="es"), 0.05, 1000, 0, threads=threads),
+}
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("name", sorted(_THREADED))
+def test_bad_thread_count_raises_value_error(name, threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        _THREADED[name](threads)
+
+
+def test_default_thread_count_is_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _worker_count(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(None) == 64
+    assert _worker_count(5) == 5
