@@ -164,11 +164,11 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
             fill(*ranges[0], c)
             for f in pending:
                 f.result()
-            # per step: its size, and views of every chain's row a and response b
+            # per step: its size, and every chain's row a and response b
             gammas = [a_sched * tt ** (-r_sched) for tt in range(t + 1, t + c + 1)]
-            steps = list(zip(gammas, block[:, :c, :d].swapaxes(0, 1), block[:, :c, d].T))
+            A, B = block[:, :c, :d].swapaxes(0, 1), block[:, :c, d].T
             x_start = x
-            for s, (gamma, a, b) in enumerate(steps):
+            for s, (gamma, a, b) in enumerate(zip(gammas, A, B)):
                 g = oracle.gradient(x, a, b)
                 if s == 0 and g.shape != x.shape:
                     raise OracleDimensionMismatch(
@@ -187,7 +187,7 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
                 # A non-finite coordinate never turns finite again, so one check
                 # per block sees every divergence; replay the block to find it.
                 x = x_start
-                for s, (gamma, a, b) in enumerate(steps):
+                for s, (gamma, a, b) in enumerate(zip(gammas, A, B)):
                     x = x - gamma * oracle.gradient(x, a, b)
                     bad = ~np.isfinite(x).all(axis=1)
                     if bad.any():
