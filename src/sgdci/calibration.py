@@ -8,19 +8,23 @@ only error in a calibrated quantile is Monte Carlo error, which is reported
 as a distribution-free order-statistic confidence interval.
 
 Draw generation is chunked: chunk k of a calibration run consumes the
-stream (base_seed, k), so results are independent of thread count and the
-chunk schedule is reproducible. The chunk is the unit of stream and of
-thread. submit_alpha is the one way to start a calibration: it checks the
-arguments, serves a cache hit or submits the chunks to a caller's pool, and
-returns a finisher that gives the quantile and stores a miss. estimate_alpha
-runs it on a pool of its own. The volume study (experiments.run_volume_study)
-submits it and inference.submit_volume_factor for neighbouring batch counts
-side by side to one pool, each on its own stream. The chunk is not the
-unit of memory: _gram_blocks walks a chunk, and the determinant pass of the
-volume factor, in blocks of about 512 KB of normals, reducing each block to
-its Gram matrices in place while the block and its centering temporary fit
-in a core's L2 cache, so a worker holds one block at a time whatever the
-chunk size or thread count.
+stream (base_seed, k), the unit of stream and of thread, so results are
+independent of thread count. submit_alpha is the one way to start a
+calibration: it checks the arguments, serves a cache hit or submits the
+chunks to a caller's pool, and returns a finisher that gives the quantile
+and stores a miss; estimate_alpha runs it on a pool of its own, and the
+volume study (experiments.run_volume_study) submits it and
+inference.submit_volume_factor for two batch counts at a time, largest first.
+Memory is bounded by blocks, not chunks: _gram_blocks walks a chunk, and the
+determinant pass of the volume factor, in blocks of about 512 KB of normals,
+reduced to their Gram matrices in place while a block and its centering
+temporary fit in a core's L2 cache, so a worker holds one block at a time.
+Each block's batched Gram matmul, solve and slogdet hold one process-wide
+lock, _BLAS_LOCK: OpenBLAS makes one small call per draw there, and two
+workers making them at once spent 3-5x the CPU of each call alone
+(BENCH_18.json). The normals, the centering and B(1) stay outside it, but
+the locked part of a draw (6% at (d, m) = (1, 100), 36% at (5, 10)) runs one
+worker at a time, which caps what more than two workers gain.
 The batched route forms every G by the same matmuls and every statistic as
 Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
 uses, at every d. The per-draw route (simulate_limit_draw) decides through
@@ -44,6 +48,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,6 +74,7 @@ _BLOCK_DOUBLES = 1 << 16
 # even in its last bits, so QuantileCache never serves an older route's value.
 KERNEL_ROUTE = 3
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+_BLAS_LOCK = threading.Lock()  # see the module docstring; not reentrant
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,8 @@ def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: 
         b1 = np.matmul(sqw, N)  # B(1), the increments' sum
         flat /= sqw_flat  # batch slopes D_i / w_i
         flat -= np.tile(b1, (1, m))  # one m*d-long inner loop, not m of length d
-        G = np.matmul(N.transpose(0, 2, 1), N)
+        with _BLAS_LOCK:
+            G = np.matmul(N.transpose(0, 2, 1), N)
         G /= m - 1
         yield G, (raw[:, m * d :] if with_z else None)
 
@@ -217,13 +224,14 @@ def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
     stats = np.empty(n)
     done, scale = 0, _joint_constant(spec.d, spec.m)
     for G, Z in _gram_blocks(spec, derive_stream(base_seed, chunk_index), n, with_z=True):
-        try:
-            sol = np.linalg.solve(G, Z[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            singular = np.linalg.det(G) == 0.0
-            G[singular] = np.eye(spec.d)
-            sol = np.linalg.solve(G, Z[..., None])[..., 0]
-            Z[singular] = np.nan  # rescued below
+        with _BLAS_LOCK:  # the rescue's det and solve run under the same hold
+            try:
+                sol = np.linalg.solve(G, Z[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                singular = np.linalg.det(G) == 0.0
+                G[singular] = np.eye(spec.d)
+                sol = np.linalg.solve(G, Z[..., None])[..., 0]
+                Z[singular] = np.nan  # rescued below
         stats[done : done + len(G)] = np.einsum("nd,nd->n", Z, sol) / scale
         done += len(G)
     bad = ~np.isfinite(stats)

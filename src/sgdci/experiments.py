@@ -318,11 +318,12 @@ def run_volume_study(
 
     Row i holds what estimate_alpha (with this cache and base_seed) and
     expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
-    batch count m_list[i]; every argument is checked before the first draw.
-    All draws run on one pool of `threads` workers (None: all usable CPUs): the
-    next cell's submit_alpha and submit_volume_factor are called before this
-    cell's finishers run on the calling thread, which writes the cache in m
-    order, so at most two cells' draws are held at once.
+    batch count m_list[i]; every argument is checked before the first draw,
+    and a repeated m is run once. All draws run on one pool of `threads`
+    workers (None: all usable CPUs), largest m first, as cost grows with m;
+    the next cell is submitted before this cell's finishers run here, so at
+    most two cells' draws are held at once. Their BLAS calls hold one lock,
+    which caps what more workers gain.
     """
     det_n = det_reps if det_reps is not None else reps
     if det_n < 1:
@@ -339,24 +340,24 @@ def run_volume_study(
                 submit_volume_factor(pool, spec, det_n,
                                      derive_stream(base_seed, 7_000_000 + spec.m)))
 
-    def decide(alpha, factor) -> VolumeRow:
+    def decide(alpha, factor) -> None:
         sq = alpha()
         vf = factor(sq)
-        return VolumeRow(d=d, m=vf.m, allocation=allocation.kind, delta=delta, reps=reps,
-                         det_reps=det_n, base_seed=base_seed, factor=vf, alpha=sq)
+        rows[vf.m] = VolumeRow(d=d, m=vf.m, allocation=allocation.kind, delta=delta, reps=reps,
+                               det_reps=det_n, base_seed=base_seed, factor=vf, alpha=sq)
 
-    rows, ahead = [], []
+    rows, ahead = {}, []
     pool = ThreadPoolExecutor(max_workers=_worker_count(threads))
     try:
-        for spec in specs:
+        for spec in sorted({s.m: s for s in specs}.values(), key=lambda s: -s.m):
             ahead.append(submit(spec))
             if len(ahead) == 2:
-                rows.append(decide(*ahead.pop(0)))
-        if ahead:
-            rows.append(decide(*ahead.pop()))
+                decide(*ahead.pop(0))
+        for cell in ahead:
+            decide(*cell)
     finally:
         pool.shutdown(cancel_futures=True)
-    return rows
+    return [rows[m] for m in m_list]
 
 
 def run_det_study(

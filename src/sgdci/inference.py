@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .batching import BatchMeansSummary, _joint_constant, sample_cov, sample_sigma
-from .calibration import LimitDrawSpec, ScalingQuantile, _gram_blocks, weights_key
+from .calibration import _BLAS_LOCK, LimitDrawSpec, ScalingQuantile, _gram_blocks, weights_key
 from .errors import (
     BatchCountTooSmall,
     DegenerateCovariance,
@@ -176,7 +176,8 @@ def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
         dets = np.empty(reps)
         done = 0
         for G, _ in _gram_blocks(spec, gen, reps, with_z=False):
-            sign, logdet = np.linalg.slogdet(G)
+            with _BLAS_LOCK:
+                sign, logdet = np.linalg.slogdet(G)
             dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
             done += len(G)
         return dets

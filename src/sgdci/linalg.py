@@ -17,7 +17,9 @@ slogdet in the determinant pass of inference.submit_volume_factor) serve
 only limit laws with m > d, where a singular matrix has probability zero.
 A draw whose solve fails is redrawn through calibration.simulate_limit_draw,
 and so decided by this rule; slogdet maps a nonpositive sign to a zero
-determinant.
+determinant. Both hold calibration._BLAS_LOCK, one worker at a time: two
+workers making their small per-draw OpenBLAS calls at once each paid several
+times the CPU, and the lock caps what more workers gain (see calibration).
 """
 
 from __future__ import annotations

@@ -128,7 +128,7 @@ def ingest_csv(path, model_kind: str):
     """
     if model_kind not in ORACLES:
         raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgdci import calibration
+from sgdci import calibration, inference
 from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
 from sgdci.calibration import (
     MIN_REPS,
@@ -54,6 +54,21 @@ def det_draws(spec, n, gen):
     submit_volume_factor(SimpleNamespace(submit=calls.append), spec, n, gen)
     (det_pass,) = calls
     return det_pass()
+
+
+class CountingLock:
+    """Stand-in for calibration._BLAS_LOCK that counts entries and knows
+    whether it is held."""
+
+    def __init__(self):
+        self.entries, self.held = 0, False
+
+    def __enter__(self):
+        assert not self.held  # non-reentrant, like the lock it stands in for
+        self.entries, self.held = self.entries + 1, True
+
+    def __exit__(self, *exc):
+        self.held = False
 
 
 def finish_on_one_worker(*args):
@@ -259,6 +274,36 @@ class TestEstimateAlpha:
         assert stats[bad] == simulate_limit_draw(spec, derive_stream(seed, 2**32 + k))
         others = np.arange(n) != bad
         assert np.array_equal(stats[others], clean[others])
+
+    @pytest.mark.parametrize("d, m", [(1, 10), (2, 40), (5, 10)])
+    def test_every_block_takes_the_blas_lock(self, d, m, monkeypatch):
+        # a counting stand-in for the lock, and spies on the batched calls:
+        # each block's Gram matmul and its solve (or slogdet) run inside the
+        # lock, one entry each, and B(1)'s matmul runs outside it
+        lock = CountingLock()
+        monkeypatch.setattr(calibration, "_BLAS_LOCK", lock)
+        monkeypatch.setattr(inference, "_BLAS_LOCK", lock)
+        calls = []
+
+        def spy(fn, label):
+            def call(*args):
+                calls.append((label(*args), lock.held))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(np, "matmul",
+                            spy(np.matmul, lambda a, b: "gram" if a.ndim == 3 else "b1"))
+        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve, lambda *_: "solve"))
+        monkeypatch.setattr(np.linalg, "slogdet", spy(np.linalg.slogdet, lambda *_: "slogdet"))
+        spec = even_spec(d, m)
+        n = 2 * max(16, calibration._BLOCK_DOUBLES // (m * d + d)) + 5  # three blocks
+        _eval_chunk(spec, n, 0, 4)
+        assert calls == [("b1", False), ("gram", True), ("solve", True)] * 3
+        assert (lock.entries, lock.held) == (6, False)
+        calls.clear()
+        det_draws(spec, n, derive_stream(4))
+        assert calls == [("b1", False), ("gram", True), ("slogdet", True)] * 3
+        assert (lock.entries, lock.held) == (12, False)
 
     def test_chunk_memory_is_one_block(self):
         spec = even_spec(5, 100)

@@ -457,23 +457,33 @@ class TestVolumeStudy:
             cache=cache, threads=threads,
         )
 
+    # the cells run largest m first; an unsorted list with a duplicate still
+    # gives its rows in the order asked
+    M_LISTS = [(7, 20), (20, 7, 40, 7)]
+
     def test_rows_and_cache_bytes_do_not_depend_on_threads(self, tmp_path):
-        rows, blobs = [], []
-        for threads in (1, 2, 3):
-            path = tmp_path / f"q{threads}.json"
-            rows.append(self._study(QuantileCache(path), threads))
-            blobs.append(path.read_bytes())
-        assert rows[1] == rows[0] and rows[2] == rows[0]
-        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+        for k, m_list in enumerate(self.M_LISTS):
+            rows, blobs = [], []
+            for threads in (1, 2, 3):
+                path = tmp_path / f"q{k}_{threads}.json"
+                rows.append(self._study(QuantileCache(path), threads, m_list))
+                blobs.append(path.read_bytes())
+            assert [r.m for r in rows[0]] == list(m_list)
+            assert rows[1] == rows[0] and rows[2] == rows[0]
+            assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
     def test_rows_equal_separate_calibration_and_volume_factor(self, tmp_path):
-        rows = self._study(QuantileCache(tmp_path / "q.json"), threads=2)
         alloc = Allocation(kind="ibs", r=2.0 / 3.0)
-        for row, m in zip(rows, (7, 20)):
-            w = ideal_weights(m, alloc)
-            sq = estimate_alpha(LimitDrawSpec(2, m, tuple(w)), 0.05, 10000, 31)
-            vf = expected_volume_factor(2, m, w, sq, 5000, derive_stream(31, 7_000_000 + m))
-            assert (row.m, row.alpha, row.factor) == (m, sq, vf)
+        for k, m_list in enumerate(self.M_LISTS):
+            rows = self._study(QuantileCache(tmp_path / f"q{k}.json"), 2, m_list)
+            assert len(rows) == len(m_list)
+            assert len({id(row) for row in rows}) == len(set(m_list))  # a repeat runs once
+            for row, m in zip(rows, m_list):
+                w = ideal_weights(m, alloc)
+                sq = estimate_alpha(LimitDrawSpec(2, m, tuple(w)), 0.05, 10000, 31)
+                vf = expected_volume_factor(2, m, w, sq, 5000,
+                                            derive_stream(31, 7_000_000 + m))
+                assert (row.m, row.alpha, row.factor) == (m, sq, vf)
 
     def test_warm_cache_is_read_not_rewritten(self, tmp_path):
         path = tmp_path / "q.json"

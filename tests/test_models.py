@@ -125,6 +125,13 @@ class TestIngestCsv:
         assert oracle.dim == 1
         assert rows[0, -1] == 2.0
 
+    def test_utf8_bom_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        text = "a_1,a_2,b\n1.0,0.0,2.0\n0.0,1.0,-1.0\n"
+        plain, _ = ingest_csv(self._write(tmp_path, text), "linear")
+        bom, oracle = ingest_csv(self._write(tmp_path, "\ufeff" + text, "bom.csv"), "linear")
+        assert np.array_equal(bom, plain) and oracle.dim == 2
+
     def test_wrong_header(self, tmp_path):
         p = self._write(tmp_path, "x,y\n1.0,2.0\n")
         with pytest.raises(ParseError):
