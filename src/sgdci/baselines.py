@@ -35,7 +35,7 @@ from .calibration import exact_quantile, spec_from_plan
 from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
 from .linalg import SymMatrix
 from .sgd import GradientOracle, SgdRunConfig, StepSchedule, single_run
-from .streams import derive_stream
+from .streams import derive_streams
 
 
 @dataclass
@@ -80,10 +80,9 @@ def sectioning_infer(
     plan = _section_plan(m, total_T)
     section_T = plan.T // m
     cfg = SgdRunConfig(T=section_T, burn_in=burn_in, x0=x0, schedule=schedule)
+    gens = derive_streams(base_seed, [(*lineage_prefix, j) for j in range(m)])
     means = np.array([
-        single_run(oracle_factory(j), cfg, derive_stream(base_seed, *lineage_prefix, j),
-                   [0, section_T])[1]
-        for j in range(m)
+        single_run(oracle_factory(j), cfg, gen, [0, section_T])[1] for j, gen in enumerate(gens)
     ])
     d = means.shape[1]
     summary = BatchMeansSummary(plan=plan, xi=means, xbar=means.mean(axis=0), d=d)

@@ -52,7 +52,7 @@ from .inference import VolumeFactor, build_region, marginal_intervals, submit_vo
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
 from .sgd import _BLOCK_DOUBLES, SgdRunConfig, StepSchedule, run_chains
-from .streams import _worker_count, derive_stream
+from .streams import _worker_count, derive_stream, derive_streams
 
 DESK_REPLICATIONS = 300
 DEFAULT_CAL_REPS = 200_000
@@ -73,7 +73,7 @@ def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int,
     """Step R chains once, chain r on stream (base_seed, r), their inputs
     filled on `threads` workers; one list of BatchMeansSummary per plan,
     one summary per chain."""
-    gens = [derive_stream(base_seed, rep) for rep in range(R)]
+    gens = derive_streams(base_seed, [(rep,) for rep in range(R)])
     return [
         [BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
          for r in range(R)]
@@ -190,8 +190,8 @@ def _trajectory(cfg: CoverageConfig, plans, threads: Optional[int] = None) -> li
     means, failure = [], None
     for first in range(0, R, group):
         # the group's generators live only for its run_chains call
-        gens = [derive_stream(cfg.base_seed, rep, j)
-                for rep in range(first, min(R, first + group)) for j in range(sections)]
+        gens = derive_streams(cfg.base_seed, [
+            (rep, j) for rep in range(first, min(R, first + group)) for j in range(sections)])
         try:
             ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sgd_cfg.T]],
                                              threads=threads)

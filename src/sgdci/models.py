@@ -118,13 +118,93 @@ def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
     return GradientOracle(dim=rows.shape[1] - 1, draw=draw, gradient=grad)
 
 
+def _reader_after_header(fh):
+    """A csv reader on fh from its start, past the header record."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return reader
+
+
+def _parse_plain(fh, d: int, model_kind: str):
+    """The data rows after fh's header by numpy's C parser, or None.
+
+    Only plain files take this route: every data line ASCII, not blank
+    (np.loadtxt skips blank lines, and warns when none is left), and free
+    of quotes, digit separators and the separators \\x1c-\\x1f (which
+    np.loadtxt strips from a field and float() does not), so the C parser
+    and the csv module split the same fields and both read each of them as
+    float() does. The result stands only if it has one row of d + 1 finite
+    values per line and, for logistic, labels of +-1; otherwise the row
+    walk decides.
+    """
+    lines = 0
+    try:
+        for line in fh:
+            if (not line.isascii() or line.isspace() or '"' in line or "_" in line
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                return None
+            lines += 1
+    except UnicodeDecodeError:
+        return None  # the row walk meets it after the rows before it, as it always has
+    if not lines:
+        return None
+    _reader_after_header(fh)
+    try:
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (lines, d + 1) or not np.isfinite(rows).all():
+        return None
+    if model_kind == "logistic" and not (np.abs(rows[:, d]) == 1.0).all():
+        return None
+    return rows
+
+
+def _walk_rows(reader, path, d: int, model_kind: str) -> np.ndarray:
+    """The data rows, cell by cell through float(); raises at the first bad one."""
+    data = array("d")  # row-major values, 8 bytes each
+    for row_num, row in enumerate(reader, start=1):
+        if len(row) != d + 1:
+            raise ParseError(
+                f"{path}: row {row_num} has {len(row)} fields, expected {d + 1}"
+            )
+        for col, cell in enumerate(row):
+            try:
+                if "_" in cell:  # float() reads the digit separator in "1_0" as 10
+                    raise ValueError(cell)
+                data.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_num}, column {col + 1}: "
+                    f"could not parse {cell!r} as a number"
+                ) from None
+        if model_kind == "logistic" and data[-1] not in (-1.0, 1.0):
+            raise LabelDomainError(
+                f"{path}: row {row_num}: logistic response must be -1 or +1, got {data[-1]}"
+            )
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    rows = np.frombuffer(data).reshape(-1, d + 1)
+    nonfinite = np.argwhere(~np.isfinite(rows))
+    if len(nonfinite):
+        r, c = nonfinite[0]
+        raise ParseError(
+            f"{path}: row {r + 1}, column {c + 1}: {rows[r, c]} is not a finite number"
+        )
+    return rows
+
+
 def ingest_csv(path, model_kind: str):
     """Read a header + numeric rows file into an array and a replay oracle.
 
     The header must be a_1,...,a_d,b. Each row becomes one SGD step, in file
     order. Logistic responses must be -1 or +1. Returns (rows, oracle) with
     rows of shape (n, d + 1); the oracle raises ExhaustedData when asked for
-    more rows than the file holds.
+    more rows than the file holds. A plain file (see _parse_plain) is
+    parsed by np.loadtxt; any other file, and any file that parse does not
+    fully accept, is walked row by row, which gives the same values and
+    decides every error.
     """
     if model_kind not in ORACLES:
         raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
@@ -141,33 +221,7 @@ def ingest_csv(path, model_kind: str):
             raise ParseError(
                 f"{path}: header must be a_1,...,a_d,b; got {','.join(header)}"
             )
-        data = array("d")  # row-major values, 8 bytes each
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != d + 1:
-                raise ParseError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {d + 1}"
-                )
-            for col, cell in enumerate(row):
-                try:
-                    if "_" in cell:  # float() reads the digit separator in "1_0" as 10
-                        raise ValueError(cell)
-                    data.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_num}, column {col + 1}: "
-                        f"could not parse {cell!r} as a number"
-                    ) from None
-            if model_kind == "logistic" and data[-1] not in (-1.0, 1.0):
-                raise LabelDomainError(
-                    f"{path}: row {row_num}: logistic response must be -1 or +1, got {data[-1]}"
-                )
-    if not data:
-        raise ParseError(f"{path}: no data rows")
-    rows = np.frombuffer(data).reshape(-1, d + 1)
-    nonfinite = np.argwhere(~np.isfinite(rows))
-    if len(nonfinite):
-        r, c = nonfinite[0]
-        raise ParseError(
-            f"{path}: row {r + 1}, column {c + 1}: {rows[r, c]} is not a finite number"
-        )
+        rows = _parse_plain(fh, d, model_kind)
+        if rows is None:
+            rows = _walk_rows(_reader_after_header(fh), path, d, model_kind)
     return rows, _replay_oracle(rows, model_kind)

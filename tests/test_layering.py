@@ -1,4 +1,5 @@
-"""The modules above calibration and inference use only their public names."""
+"""Layering rules: the modules above calibration and inference use only
+their public names, and every random stream is built in `streams`."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,36 @@ def test_the_check_sees_each_form():
               "calibration._chunk_size(spec)\n")
     assert _private_uses(ast.parse(source)) == [
         "calibration._eval_chunk", "inference._gram_blocks", "calibration._chunk_size"]
+
+
+STREAM_BUILDERS = {"SeedSequence", "PCG64", "default_rng", "Generator"}
+
+
+def _stream_builds(tree) -> list:
+    """Calls of a numpy stream constructor, by bare name or attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in STREAM_BUILDERS:
+                found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(sgdci.__file__).parent.glob("*.py") if p.name != "streams.py"))
+def test_every_stream_comes_from_streams(path):
+    source = (Path(sgdci.__file__).parent / path).read_text(encoding="utf-8")
+    assert _stream_builds(ast.parse(source)) == []
+
+
+def test_the_stream_check_sees_each_form():
+    source = ("import numpy as np\n"
+              "from numpy.random import PCG64, SeedSequence\n"
+              "gen: np.random.Generator = np.random.default_rng(0)\n"
+              "np.random.Generator(PCG64(SeedSequence(1)))\n")
+    assert _stream_builds(ast.parse(source)) == [
+        "default_rng", "Generator", "PCG64", "SeedSequence"]
+    streams = (Path(sgdci.__file__).parent / "streams.py").read_text(encoding="utf-8")
+    assert _stream_builds(ast.parse(streams)) == ["Generator", "PCG64"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgdci import models
 from sgdci.errors import ExhaustedData, LabelDomainError, ParseError
 from sgdci.models import (
     TrueParams,
@@ -191,6 +192,61 @@ class TestIngestCsv:
         oracle.next_gradient(np.zeros(1), derive_stream(0))
         with pytest.raises(ValueError, match="one chain"):
             oracle.next_gradient(np.zeros(1), derive_stream(0))
+
+    # Inputs on which np.loadtxt and the row walk could disagree; each value
+    # or message is what the row walk alone gave before plain files took the
+    # C parse. "\x1c" is a separator np.loadtxt strips and float() rejects.
+    @pytest.mark.parametrize("kind, text, expected", [
+        ("linear", "a_1,b\n1,2\n\n3,4\n", (ParseError, "row 2 has 0 fields, expected 2")),
+        ("linear", "a_1,b\n1,2\n  \n3,4\n", (ParseError, "row 2 has 1 fields, expected 2")),
+        ("linear", "a_1,b\n\n\n", (ParseError, "row 1 has 0 fields, expected 2")),
+        ("linear", 'a_1,b\n"1.5",2\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),
+        ("linear", 'a_1,b\n"1,5",2\n',
+         (ParseError, "row 1, column 1: could not parse '1,5' as a number")),
+        ("linear", "a_1,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("linear", "a_1,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("linear", "a_1,b\n1,2,\n3,4,\n", (ParseError, "row 1 has 3 fields, expected 2")),
+        ("linear", "a_1,b\n1_0,2\n",
+         (ParseError, "row 1, column 1: could not parse '1_0' as a number")),
+        ("linear", "a_1,b\n\u0661,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("linear", "a_1,b\n1,2\nnan,4\n",
+         (ParseError, "row 2, column 1: nan is not a finite number")),
+        ("logistic", "a_1,b\n1,1\n2,0\n",
+         (LabelDomainError, "row 2: logistic response must be -1 or +1, got 0.0")),
+        ("linear", "a_1,b\n1,\x1c2\n",
+         (ParseError, "row 1, column 2: could not parse '\\x1c2' as a number")),
+        ("linear", "a_1,b\n 1 ,\t2\t\n", [[1.0, 2.0]]),
+        ("linear", b"a_1,b\n1,x\n" + b"1,2\n" * 5000 + b"\xff,1\n",
+         (ParseError, "row 1, column 2: could not parse 'x' as a number")),
+    ], ids=["blank_line", "whitespace_line", "blank_lines_only", "quoted_number", "quoted_comma", "crlf", "lone_cr",
+            "trailing_comma", "digit_separator", "arabic_digit", "nan", "logistic_zero",
+            "info_separator", "spaces_and_tabs", "bad_row_before_invalid_utf8"])
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
+    def test_c_parse_and_row_walk_agree(self, tmp_path, kind, text, expected):
+        p = tmp_path / "data.csv"
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, list):
+            rows, _ = ingest_csv(p, kind)
+            assert np.array_equal(rows, expected) and rows.dtype == np.float64
+        else:
+            error, message = expected
+            with pytest.raises(Exception) as exc:
+                ingest_csv(p, kind)
+            assert type(exc.value) is error and str(exc.value) == f"{p}: {message}"
+
+    def test_plain_file_values_are_float_of_each_cell(self, tmp_path, monkeypatch):
+        # a plain file takes the C parse; every value must be float(cell)
+        monkeypatch.setattr(models, "_walk_rows", None)
+        z = np.random.default_rng(3).standard_normal((4, 50, 3))
+        blocks = [("%r", z[0]), ("%.3g", z[1]), ("%.6e", z[2] * 1e8), ("%.0f", z[3] * 9)]
+        cells = [[fmt % v for v in row.tolist()] for fmt, rows in blocks for row in rows]
+        p = tmp_path / "data.csv"
+        p.write_text("a_1,a_2,b\n" + "".join(",".join(r) + "\n" for r in cells), encoding="utf-8")
+        rows, _ = ingest_csv(p, "linear")
+        assert np.array_equal(rows, [[float(c) for c in r] for r in cells])
 
     def test_replay_is_deterministic(self, tmp_path):
         p = self._write(tmp_path, "a_1,b\n0.5,1.0\n-2.0,0.5\n")

@@ -10,7 +10,7 @@ from sgdci.calibration import LimitDrawSpec, estimate_alpha
 from sgdci.experiments import CoverageConfig, run_coverage, run_volume_study
 from sgdci.models import linear_oracle, linspace_params
 from sgdci.sgd import SgdRunConfig, run_chains
-from sgdci.streams import _worker_count, derive_stream
+from sgdci.streams import _worker_count, derive_stream, derive_streams
 
 
 def test_same_lineage_identical():
@@ -53,7 +53,8 @@ def test_cross_covariance_near_zero():
 
 def test_entropy_encoding_pinned():
     # the stream is PCG64 seeded from (base, len(indices), *indices), each
-    # integer reduced modulo 2^64
+    # integer reduced modulo 2^64; derive_streams hashes the flat uint32
+    # words of all paths at once, one- and two-word integers mixed
     mask = (1 << 64) - 1
     for base, indices in [(42, ()), (42, (1, 2)), (7, (1, 0)), (-3, (2,)),
                           (-1, (2**64 + 5,))]:
@@ -62,6 +63,21 @@ def test_entropy_encoding_pinned():
         gen = derive_stream(base, *indices)
         assert isinstance(gen, np.random.Generator)
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8)), (base, indices)
+    rng = np.random.default_rng(2024)
+    paths = [(), (0,), (1, 0), (0, 0, 0), (2**32,), (2**32 - 1, 2**32), (2**64 - 1,),
+             (5, 2**64 - 1, 7), (-1,), (2**64 + 5, 3), (2**70, 1, 2)]
+    for _ in range(300):
+        length = int(rng.integers(0, 4))
+        paths.append(tuple(int(i) << int(s) for i, s in
+                           zip(rng.integers(0, 2**31, length), rng.choice([0, 16, 32], length))))
+    for base in (0, 42, -3, -1, 2**32, 2**63 + 11, 2**64 + 9):
+        for path, gen in zip(paths, derive_streams(base, paths), strict=True):
+            entropy = (base & mask, len(path), *(i & mask for i in path))
+            ref = np.random.PCG64(np.random.SeedSequence(entropy))
+            assert gen.bit_generator.state == ref.state, (base, path)
+            assert np.array_equal(gen.standard_normal(8),
+                                  np.random.Generator(ref).standard_normal(8)), (base, path)
+    assert derive_streams(0, []) == []
 
 
 _THREADED = {
