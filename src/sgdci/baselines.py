@@ -127,6 +127,8 @@ def _bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
 
 def bmi_from_stats(xbar: np.ndarray, sigma: np.ndarray, m_n: int, delta: float) -> BmiResult:
     """Normal-quantile intervals from batch-means statistics."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     d = xbar.shape[0]
     z_marg = ndtri(1.0 - delta / 2.0)
     z_joint = ndtri(1.0 - delta / (2.0 * d))

@@ -51,8 +51,8 @@ class Allocation:
         if self.kind == "custom":
             if self.custom_weights is None or len(self.custom_weights) == 0:
                 raise ValueError("custom allocation requires custom_weights")
-            if any(w <= 0 for w in self.custom_weights):
-                raise ValueError("custom weights must be strictly positive")
+            if not all(0.0 < w < np.inf for w in self.custom_weights):
+                raise ValueError("custom weights must be finite and strictly positive")
         elif self.custom_weights is not None:
             raise ValueError("custom_weights only apply to kind='custom'")
 

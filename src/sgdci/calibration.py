@@ -95,8 +95,8 @@ class LimitDrawSpec:
         w = np.asarray(self.w, dtype=float)
         if len(w) != self.m:
             raise DimensionMismatch(f"{len(w)} weights for m={self.m}")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
@@ -264,7 +264,10 @@ class QuantileCache:
         if not os.path.exists(self.path):
             return {}
         with open(self.path, "r", encoding="utf-8") as fh:
-            return {k: v for k, v in json.load(fh).items() if k.startswith(self._PREFIX)}
+            records = json.load(fh)
+        if not isinstance(records, dict):
+            raise ValueError(f"quantile cache {self.path} does not hold a JSON object")
+        return {k: v for k, v in records.items() if k.startswith(self._PREFIX)}
 
     @staticmethod
     def _key_str(key: tuple) -> str:

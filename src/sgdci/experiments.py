@@ -1,16 +1,15 @@
 """Replicated experiment harness: coverage, volume, and degeneracy studies.
 
-Replication r of a study consumes the stream (base_seed, r) and nothing
-else, so reports are reproducible and independent of scheduling. The SGD
-recursions of all replications advance together through `sgd.run_chains`,
-the same driver a single run uses at R = 1, so each replication's iterates
-are those of a serial run on its stream by construction, while desk-scale
-tables stay in the seconds-to-minutes range. A comparison steps each chain
-set once and scores every method on it: the bm and BMI cells share one set
-of R long chains, batched under both plans in the same pass, and the two
-sectioning cells share one set of section chains. The R * m sections run in
-groups of whole replications, each group's generators made just before its
-pass and dropped after it, so memory does not grow with R * m.
+Replication r of a study consumes the stream (base_seed, r), or (base_seed,
+r, j) for its section j, and nothing else, so reports are reproducible and
+independent of scheduling. Every replicated study steps through
+`_replicate`: whole replications advance together, in groups, through
+`sgd.run_chains`, the same driver a single run uses at R = 1, so each
+replication's iterates are those of a serial run on its stream by
+construction, and memory does not grow with R beyond the batch means. A
+comparison steps each chain set once and scores every method on it: the bm
+and BMI cells share one set of R long chains, batched under both plans in
+the same pass, and the two sectioning cells share one set of section chains.
 
 Every report embeds its full configuration. Wall-clock time is recorded for
 convenience but is the one field outside the determinism contract; cells
@@ -51,7 +50,7 @@ from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, Sg
 from .inference import VolumeFactor, build_region, marginal_intervals, submit_volume_factor
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
-from .sgd import _BLOCK_DOUBLES, SgdRunConfig, StepSchedule, run_chains
+from .sgd import _BLOCK_DOUBLES, _MIN_DEPTH, SgdRunConfig, StepSchedule, run_chains
 from .streams import _worker_count, derive_stream, derive_streams
 
 DESK_REPLICATIONS = 300
@@ -68,19 +67,51 @@ METHODS = (
 )
 
 
+def _replication_group(chains: int, d: int) -> int:
+    """Replications per group of a replicated pass, `chains` chains each:
+    isqrt(_BLOCK_DOUBLES) chains (724), and no more than fit run_chains'
+    depth floor in its chain-major block, _BLOCK_DOUBLES // (_MIN_DEPTH *
+    (d + 1)) (390 at d = 20), rounded down to whole replications, at least one.
+
+    A smaller group steps more often in Python for the same chains; a larger
+    one makes run_chains' block shallower, so each chain draws more often.
+    In a sweep of the sectioning pass at d = 2 (BENCH_14.json), the pass time
+    at the 2^19 block was flat from about 500 to 1,500 chains and higher at
+    250 and from 2,730 up; the square root of the block sits near the low end
+    of that range, so few generators are alive at once. Each chain draws its
+    own stream in order whatever the group, so no result depends on it.
+    """
+    group = min(math.isqrt(_BLOCK_DOUBLES), _BLOCK_DOUBLES // (_MIN_DEPTH * (d + 1)))
+    return max(1, group // chains)
+
+
 def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int,
-               threads: Optional[int] = None) -> list:
-    """Step R chains once, chain r on stream (base_seed, r), their inputs
-    filled on `threads` workers; one list of BatchMeansSummary per plan,
-    one summary per chain."""
-    gens = derive_streams(base_seed, [(rep,) for rep in range(R)])
-    return [
-        [BatchMeansSummary(plan=plan, xi=xi[:, r, :], xbar=xbar[r], d=xbar.shape[1])
-         for r in range(R)]
-        for plan, (xi, xbar) in zip(
-            plans, run_chains(oracle, config, gens, [p.boundaries for p in plans],
-                              threads=threads))
-    ]
+               sections: Optional[int] = None, threads: Optional[int] = None) -> list:
+    """Step R replications once; run_chains' (xi, xbar) for each boundary
+    array in plans, every chain in replication order along axis -2 of both.
+
+    Replication r is one chain on stream (base_seed, r), or `sections`
+    chains, chain j on (base_seed, r, j). Each group of _replication_group
+    whole replications derives its streams in one call and steps them in
+    one run_chains pass, inputs filled on `threads` workers; its generators
+    die with the pass. A divergence raises after every group has run, with
+    the earliest step and, at that step, the lowest replication, as one
+    pass over all would. R < 1 reaches run_chains, which rejects it.
+    """
+    tails = [()] if sections is None else [(j,) for j in range(sections)]
+    group = _replication_group(len(tails), oracle.dim)
+    parts, failures = [], []
+    for first in range(0, max(R, 1), group):
+        paths = [(r, *tail) for r in range(first, min(R, first + group)) for tail in tails]
+        try:
+            parts.append(run_chains(oracle, config, derive_streams(base_seed, paths), plans,
+                                    threads=threads))
+        except NonFiniteIterate as e:
+            failures.append((e.t, first + e.replication // len(tails)))
+    if failures:
+        t, rep = min(failures)
+        raise NonFiniteIterate(t, replication=rep)
+    return [tuple(np.concatenate(a, axis=-2) for a in zip(*plan)) for plan in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -148,65 +179,28 @@ def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
     return make_plan(cfg.T, cfg.m, cfg.alloc)
 
 
-def _section_group(sections: int, d: int) -> int:
-    """Replications per group of the sectioning pass: isqrt(_BLOCK_DOUBLES)
-    chains (724), and no more than fit run_chains' 64-step floor in its
-    chain-major block, _BLOCK_DOUBLES // (64 * (d + 1)) (390 at d = 20),
-    rounded down to whole replications, at least one.
-
-    A smaller group steps more often in Python for the same chains; a larger
-    one makes run_chains' block shallower, so each chain draws more often.
-    In a sweep at d = 2 (BENCH_14.json), the pass time at the 2^19 block was
-    flat from about 500 to 1,500 chains and higher at 250 and from 2,730 up;
-    the square root of the block sits near the low end of that range, so few
-    generators are alive at once. Each chain draws its own stream in order
-    whatever the group, so no result depends on it.
-    """
-    chains = min(math.isqrt(_BLOCK_DOUBLES), _BLOCK_DOUBLES // (64 * (d + 1)))
-    return max(1, chains // sections)
-
-
 def _trajectory(cfg: CoverageConfig, plans, threads: Optional[int] = None) -> list:
     """Step the chain set of cfg's method once; one summary list per plan.
 
-    bm and BMI cells run R chains of T steps, chain r on stream
-    (base_seed, r), and every plan over [0, T] batches the same iterates.
-    Sectioning runs R * m chains of T // m steps, section j of replication r
-    on stream (base_seed, r, j), in groups of _section_group(m, d) whole
-    replications; its one plan has a batch per section. Each pass fills its
-    input blocks on `threads` workers. A divergence raises
-    after every group has run, with the earliest step over all groups and,
-    at that step, the lowest replication, as one pass over all would.
+    bm and BMI cells run R chains of T steps, and every plan over [0, T]
+    batches the same iterates. Sectioning runs m chains of T // m steps per
+    replication; its one plan has a batch per section. Both go through
+    _replicate, which fills each pass's input blocks on `threads` workers.
     """
     R, d = cfg.replications, cfg.d
     oracle = ORACLES[cfg.model](linspace_params(d))
     if not cfg.method.startswith("sectioning"):
         sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-        return _replicate(oracle, sgd_cfg, plans, R, cfg.base_seed, threads)
+        return [[BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d) for r in range(R)]
+                for plan, (xi, xbar) in zip(plans, _replicate(
+                    oracle, sgd_cfg, [p.boundaries for p in plans], R, cfg.base_seed,
+                    threads=threads))]
     (plan,) = plans
-    sections = plan.m
-    sgd_cfg = SgdRunConfig(T=plan.T // sections, burn_in=cfg.burn_in, schedule=cfg.schedule)
-    group = _section_group(sections, d)
-    means, failure = [], None
-    for first in range(0, R, group):
-        # the group's generators live only for its run_chains call
-        gens = derive_streams(cfg.base_seed, [
-            (rep, j) for rep in range(first, min(R, first + group)) for j in range(sections)])
-        try:
-            ((_, chain_means),) = run_chains(oracle, sgd_cfg, gens, [[0, sgd_cfg.T]],
-                                             threads=threads)
-        except NonFiniteIterate as e:
-            here = (e.t, first + e.replication // sections)
-            failure = here if failure is None else min(failure, here)
-        else:
-            means.append(chain_means)
-        del gens
-    if failure is not None:
-        raise NonFiniteIterate(failure[0], replication=failure[1])
-    return [[
-        BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
-        for mu in np.concatenate(means).reshape(R, sections, d)
-    ]]
+    sgd_cfg = SgdRunConfig(T=plan.T // plan.m, burn_in=cfg.burn_in, schedule=cfg.schedule)
+    ((_, means),) = _replicate(oracle, sgd_cfg, [[0, sgd_cfg.T]], R, cfg.base_seed, plan.m,
+                               threads)
+    return [[BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
+             for mu in means.reshape(R, plan.m, d)]]
 
 
 def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
@@ -379,11 +373,11 @@ def run_det_study(
     """
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
     config = SgdRunConfig(T=T, burn_in=burn_in, schedule=schedule or StepSchedule())
-    (summaries,) = _replicate(ORACLES[model](linspace_params(d)), config, [plan], R,
-                              base_seed)
-    return np.array(
-        [det_sqrt(SymMatrix(float(T) * sample_cov(s).entries)) ** 2 for s in summaries]
-    )
+    ((xi, xbar),) = _replicate(ORACLES[model](linspace_params(d)), config,
+                               [plan.boundaries], R, base_seed)
+    covs = [sample_cov(BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d))
+            for r in range(R)]
+    return np.array([det_sqrt(SymMatrix(float(T) * c.entries)) ** 2 for c in covs])
 
 
 @dataclass

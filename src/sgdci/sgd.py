@@ -30,8 +30,9 @@ from .streams import _worker_count
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
-# run_chains' input-block budget in doubles (4 MB) and prepare slice rows
+# run_chains' input-block budget in doubles (4 MB), depth floor in steps, and prepare slice rows
 _BLOCK_DOUBLES = 1 << 19
+_MIN_DEPTH = 64
 _SLICE_ROWS = 4096
 
 
@@ -107,7 +108,7 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     at config.x0 (zero if None); chain j draws from gens[j], at least one,
     in blocks of up to 4096 steps, into its contiguous slice of one
     chain-major (R, depth, d + 1) block of at most _BLOCK_DOUBLES (2^19)
-    doubles, 4 MB, unless 64 steps of all chains exceed that. A block is
+    doubles, 4 MB, unless _MIN_DEPTH (64) steps of all chains exceed that. A block is
     drawn and prepared in full before its first step: the chains split into
     min(threads, R) contiguous ranges (threads None: every usable CPU), the
     calling thread filling the first and a pool made for the call the rest,
@@ -136,7 +137,7 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
     sums = [np.zeros((len(b) - 1, R, d)) for b in bounds]
     opens = set().union(*(b[:-1].tolist() for b in bounds))
     total = burn + T
-    depth = min(total, max(64, min(4096, _BLOCK_DOUBLES // (R * (d + 1)))))
+    depth = min(total, max(_MIN_DEPTH, min(4096, _BLOCK_DOUBLES // (R * (d + 1)))))
     block = np.empty((R, depth, d + 1))
     a_sched, r_sched = config.schedule.a, config.schedule.r
     workers = min(_worker_count(threads), R)

@@ -54,6 +54,12 @@ def test_bmi_infer_minimum_run_length():
         bmi_infer(linear_oracle(params), T=15, delta=0.05, gen=derive_stream(8))
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan")])
+def test_bmi_rejects_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        bmi_infer(linear_oracle(linspace_params(2)), T=400, delta=delta, gen=derive_stream(9))
+
+
 def test_width_comparison_predicate():
     # a batch-means band beats the normal-quantile band exactly when the
     # calibrated scaling stays below z^2; both widths share sigma / sqrt(m)

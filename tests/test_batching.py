@@ -46,8 +46,9 @@ class TestAllocation:
     def test_custom_requires_weights(self):
         with pytest.raises(ValueError):
             Allocation(kind="custom")
-        with pytest.raises(ValueError):
-            Allocation(kind="custom", custom_weights=(1.0, -1.0))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Allocation(kind="custom", custom_weights=(1.0, bad))
 
     def test_weights_rejected_elsewhere(self):
         with pytest.raises(ValueError):

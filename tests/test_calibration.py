@@ -137,6 +137,10 @@ class TestLimitDrawSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LimitDrawSpec(1, 2, (0.4, 0.4))
+        # the sum check alone lets NaN through: abs(nan - 1) > tol is False
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                LimitDrawSpec(1, 3, (0.5, bad, 0.5))
 
     def test_batch_count_must_exceed_dim(self):
         with pytest.raises(ValueError):
@@ -413,6 +417,14 @@ class TestQuantileCache:
                 assert hit is not None and hit.alpha_hat == float(i)
         assert len(json.loads(path.read_text())) == writers * n
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_non_object_file_is_refused_by_name(self, tmp_path, text):
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="does not hold a JSON object") as exc:
+            QuantileCache(path)
+        assert str(path) in str(exc.value)
 
     def test_weights_key_sensitivity(self):
         w1 = (0.5, 0.5)

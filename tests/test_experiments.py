@@ -261,9 +261,20 @@ class TestDivergence:
                  for rep in range(R) for j in range(m)}
         first = min(steps, key=lambda k: (steps[k], k))
         assert first[0] > 0
-        monkeypatch.setattr(experiments, "_section_group", lambda sections, d: 1)
+        monkeypatch.setattr(experiments, "_replication_group", lambda chains, d: 1)
         err = self._coverage("sectioning_marginal", R=R, m=m)
         assert (err.t, err.replication) == (steps[first], first[0])
+
+    def test_bm_groups_report_the_earliest_step(self, monkeypatch):
+        # one replication per group: replication 0 diverges in the first
+        # group, a later replication at an earlier step in a later group
+        steps = [self._serial_step(0, rep) for rep in range(3)]
+        first = steps.index(min(steps))
+        assert first > 0
+        monkeypatch.setattr(experiments, "_replication_group", lambda chains, d: 1)
+        for method in ("bm_marginal", "bmi_joint"):
+            err = self._coverage(method, R=3)
+            assert (err.t, err.replication) == (steps[first], first)
 
     def test_det_study_raises(self):
         with pytest.raises(NonFiniteIterate):
@@ -282,7 +293,7 @@ class TestDivergence:
 
 
 class TestSectionGroups:
-    """The sections step in groups of whole replications."""
+    """Every replicated pass steps in groups of whole replications."""
 
     @pytest.mark.parametrize("model, d, seed", [("linear", 2, 0), ("linear", 2, 5),
                                                 ("logistic", 3, 0), ("logistic", 3, 5)])
@@ -299,7 +310,7 @@ class TestSectionGroups:
         shipped = signatures()
         # (R, 2^21): all sections in one pass with a 16 MB input block
         for group, block in ((1, sgd._BLOCK_DOUBLES), (3, 64), (R, 1 << 21)):
-            monkeypatch.setattr(experiments, "_section_group", lambda sections, d, g=group: g)
+            monkeypatch.setattr(experiments, "_replication_group", lambda chains, d, g=group: g)
             monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", block)
             assert signatures() == shipped
 
@@ -318,6 +329,24 @@ class TestSectionGroups:
 
         assert peak(300) <= peak(30) + 3 * 2**20
 
+    @pytest.mark.parametrize("method", ["bm_marginal", "bmi_joint"])
+    def test_long_chain_memory_grows_only_by_the_batch_means(self, method):
+        def peak(R):
+            cfg = CoverageConfig(model="linear", d=2, T=300, method=method, m=10,
+                                 alloc=Allocation(kind="ibs"), replications=R, base_seed=0)
+            plan = experiments._cell_plan(cfg)
+            tracemalloc.start()
+            try:
+                experiments._trajectory(cfg, [plan])
+                return tracemalloc.get_traced_memory()[1], plan.m
+            finally:
+                tracemalloc.stop()
+
+        (low, m), (high, _) = peak(2_000), peak(20_000)
+        # xi and xbar of the 18,000 more chains, counted three times: the
+        # groups' arrays, their concatenation, and the per-replication summaries
+        assert high - low <= 3 * 18_000 * (m + 1) * 2 * 8
+
     @staticmethod
     def _peak(model, d, threads=None):
         cfg = CoverageConfig(model=model, d=d, T=6000, method="sectioning_marginal",
@@ -332,7 +361,7 @@ class TestSectionGroups:
     def test_block_stays_in_budget_at_large_d(self):
         # at d = 20 a 720-chain group would need 64 * 720 * 21 doubles (7.7 MB)
         # for run_chains' 64-step floor; the group rule caps it at 390 chains
-        assert experiments._section_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
+        assert experiments._replication_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
         assert self._peak("linear", 20) <= 1.5 * 8 * sgd._BLOCK_DOUBLES
         # at d = 2 the 720-chain block is 242 steps deep; the block hook works
         # in slices of at most _SLICE_ROWS rows, so its temporaries (einsum,
@@ -553,6 +582,14 @@ class TestComparison:
             delta=0.05, replications=4, base_seed=10, cal_reps=10000,
         )
         assert all(not isinstance(r, FailedCell) for r in out)
+
+    @pytest.mark.parametrize("delta", [1.5, float("nan")])
+    def test_invalid_delta_fails_every_cell(self, delta):
+        out = run_comparison("linear", 2, 400, 10, Allocation(kind="ibs"), delta,
+                             replications=3, base_seed=0, cal_reps=10000)
+        assert [type(r) for r in out] == [FailedCell] * len(METHODS)
+        assert all("delta must lie in (0, 1)" in r.error for r in out
+                   if not r.method.startswith("sectioning"))
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         # cold caches and three calibration chunks per quantile, so the
