@@ -3,7 +3,7 @@
 Sectioning replaces the batches of one long run by m fully independent runs
 of equal length. Independence makes the even-split limiting law exact, so
 the scaling parameter is the F quantile itself rather than a Monte Carlo
-estimate.
+estimate. One run is replication 0 of section_summaries' grouped pass.
 
 The BMI-style method ties the batch count to the sample size, m_n =
 ceil(T^{1/4}), targets marginal intervals with standard normal quantiles
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,11 +31,11 @@ from .batching import (
     sample_cov,
     sample_sigma,
 )
-from .calibration import exact_quantile, spec_from_plan
+from .calibration import check_delta, exact_quantile, spec_from_plan
+from .errors import NonFiniteIterate
 from .inference import ConfidenceRegion, MarginalIntervals, build_region, marginal_intervals
 from .linalg import SymMatrix
-from .sgd import GradientOracle, SgdRunConfig, StepSchedule, single_run
-from .streams import derive_streams
+from .sgd import GradientOracle, SgdRunConfig, StepSchedule, replicate, single_run
 
 
 @dataclass
@@ -50,7 +50,7 @@ class SectioningResult:
     delta: float
 
 
-def _section_plan(m: int, total_T: int) -> BatchPlan:
+def section_plan(m: int, total_T: int) -> BatchPlan:
     """m sections of total_T // m steps as one even-split plan (weights 1/m)."""
     if m < 2:
         raise ValueError(f"sectioning needs m >= 2, got {m}")
@@ -59,47 +59,40 @@ def _section_plan(m: int, total_T: int) -> BatchPlan:
     return make_plan(m * (total_T // m), m, Allocation(kind="es"))
 
 
-def sectioning_infer(
-    oracle_factory: Callable[[int], GradientOracle],
-    m: int,
-    total_T: int,
-    schedule: StepSchedule,
-    delta: float,
-    base_seed: int,
-    burn_in: int = 0,
-    x0=None,
-    lineage_prefix: tuple = (),
-) -> SectioningResult:
+def section_summaries(oracle: GradientOracle, plan: BatchPlan, schedule: StepSchedule,
+                      burn_in: int, R: int, base_seed: int, x0=None,
+                      threads: Optional[int] = None) -> list:
+    """R summaries whose batch means are plan.m section means, from one
+    sgd.replicate pass; section j of replication r reads stream (base_seed, r, j)."""
+    config = SgdRunConfig(T=plan.T // plan.m, burn_in=burn_in, x0=x0, schedule=schedule)
+    ((_, means),) = replicate(oracle, config, [[0, config.T]], R, base_seed, plan.m, threads)
+    return [BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=oracle.dim)
+            for mu in means.reshape(R, plan.m, oracle.dim)]
+
+
+def sectioning_infer(oracle: GradientOracle, m: int, total_T: int, schedule: StepSchedule,
+                     delta: float, base_seed: int, burn_in: int = 0, x0=None) -> SectioningResult:
     """Independent replicated runs treated like equally weighted batches.
 
-    Section j consumes the stream (base_seed, *lineage_prefix, j), so
-    sections are disjoint by construction and the whole result is
-    reproducible from the seed. The joint scaling parameter is the exact
-    F(d, m-d) quantile; the marginal one is F(1, m-1).
+    Section j consumes the stream (base_seed, 0, j), as in replication 0
+    of a sectioning run_coverage cell; a divergence raises NonFiniteIterate
+    at the earliest step with replication None. The joint scaling parameter
+    is the exact F(d, m-d) quantile; the marginal one is F(1, m-1).
     """
-    plan = _section_plan(m, total_T)
-    section_T = plan.T // m
-    cfg = SgdRunConfig(T=section_T, burn_in=burn_in, x0=x0, schedule=schedule)
-    gens = derive_streams(base_seed, [(*lineage_prefix, j) for j in range(m)])
-    means = np.array([
-        single_run(oracle_factory(j), cfg, gen, [0, section_T])[1] for j, gen in enumerate(gens)
-    ])
-    d = means.shape[1]
-    summary = BatchMeansSummary(plan=plan, xi=means, xbar=means.mean(axis=0), d=d)
+    check_delta(delta)
+    plan = section_plan(m, total_T)
+    try:
+        (summary,) = section_summaries(oracle, plan, schedule, burn_in, 1, base_seed, x0)
+    except NonFiniteIterate as e:
+        raise NonFiniteIterate(e.t) from None
     region = None
-    if m > d:
-        region = build_region(summary, exact_quantile(spec_from_plan(plan, d), delta))
+    if m > summary.d:
+        region = build_region(summary, exact_quantile(spec_from_plan(plan, summary.d), delta))
         region.T = total_T  # the budget asked for, m * section_T plus the remainder
-    return SectioningResult(
-        section_means=means,
-        pooled_mean=summary.xbar,
-        cov=sample_cov(summary),
-        region=region,
-        intervals=marginal_intervals(summary, exact_quantile(spec_from_plan(plan, 1), delta)),
-        m=m,
-        section_T=section_T,
-        delta=delta,
-    )
+    intervals = marginal_intervals(summary, exact_quantile(spec_from_plan(plan, 1), delta))
+    return SectioningResult(section_means=summary.xi, pooled_mean=summary.xbar,
+                            cov=sample_cov(summary), region=region, intervals=intervals, m=m,
+                            section_T=plan.T // m, delta=delta)
 
 
 @dataclass
@@ -118,7 +111,7 @@ def bmi_batch_count(T: int) -> int:
     return math.ceil(T ** 0.25)
 
 
-def _bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
+def bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
     """m_n = ceil(T^{1/4}) increasing batches at exponent alloc_r; T >= 16."""
     if T < 16:
         raise ValueError(f"BMI-style inference needs T >= 16, got {T}")
@@ -127,8 +120,7 @@ def _bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
 
 def bmi_from_stats(xbar: np.ndarray, sigma: np.ndarray, m_n: int, delta: float) -> BmiResult:
     """Normal-quantile intervals from batch-means statistics."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     d = xbar.shape[0]
     z_marg = ndtri(1.0 - delta / 2.0)
     z_joint = ndtri(1.0 - delta / (2.0 * d))
@@ -161,7 +153,8 @@ def bmi_infer(
     Marginal intervals use z at level delta; the joint declaration splits
     delta across coordinates (Bonferroni), i.e. uses z at delta / d.
     """
-    plan = _bmi_plan(T, alloc_r)
+    check_delta(delta)
+    plan = bmi_plan(T, alloc_r)
     cfg = SgdRunConfig(T=T, burn_in=burn_in, x0=x0, schedule=schedule or StepSchedule())
     xi, xbar = single_run(oracle, cfg, gen, plan.boundaries)
     summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=oracle.dim)

@@ -101,6 +101,12 @@ class LimitDrawSpec:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
 
+def check_delta(delta: float) -> None:
+    """The one rule for a miss probability: delta in the open interval (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def spec_from_plan(plan, d: int) -> LimitDrawSpec:
     return LimitDrawSpec(d=d, m=plan.m, w=tuple(plan.weights))
 
@@ -252,9 +258,14 @@ class QuantileCache:
     processes have stored since this one loaded, and goes through a private
     temporary file and an atomic rename, so concurrent writers keep each
     other's records and a crashed run never leaves a truncated cache behind.
+    A current-route record that is not an object of the fields put stores,
+    each a finite number but the weights_key string, is refused by name on
+    load.
     """
 
     _PREFIX = f"route={KERNEL_ROUTE}|"
+    _KEY = ("d", "m", "weights_key", "delta", "reps", "base_seed")  # ScalingQuantile.key
+    _VALUE = ("alpha_hat", "ci_low", "ci_high")
 
     def __init__(self, path):
         self.path = str(path)
@@ -267,7 +278,17 @@ class QuantileCache:
             records = json.load(fh)
         if not isinstance(records, dict):
             raise ValueError(f"quantile cache {self.path} does not hold a JSON object")
-        return {k: v for k, v in records.items() if k.startswith(self._PREFIX)}
+        current = {k: v for k, v in records.items() if k.startswith(self._PREFIX)}
+        fields = self._KEY + self._VALUE
+        for k, rec in current.items():
+            if not (isinstance(rec, dict) and rec.keys() >= set(fields)
+                    and isinstance(rec["weights_key"], str)
+                    and all(type(v) is int or type(v) is float and math.isfinite(v)
+                            for v in (rec[f] for f in fields if f != "weights_key"))):
+                raise ValueError(f"quantile cache {self.path} holds a malformed record {k!r}: "
+                                 f"it needs {', '.join(fields)}, each a finite number but "
+                                 "the weights_key string")
+        return current
 
     @staticmethod
     def _key_str(key: tuple) -> str:
@@ -279,28 +300,12 @@ class QuantileCache:
         rec = self._records.get(self._key_str(key))
         if rec is None:
             return None
-        return ScalingQuantile(
-            alpha_hat=rec["alpha_hat"],
-            ci_low=rec["ci_low"],
-            ci_high=rec["ci_high"],
-            delta=rec["delta"],
-            reps=rec["reps"],
-            key=key,
-        )
+        return ScalingQuantile(**{f: rec[f] for f in self._VALUE}, delta=rec["delta"],
+                               reps=rec["reps"], key=key)
 
     def put(self, sq: ScalingQuantile) -> None:
-        d, m, wkey, delta, reps, seed = sq.key
         self._records[self._key_str(sq.key)] = {
-            "d": d,
-            "m": m,
-            "weights_key": wkey,
-            "delta": delta,
-            "reps": reps,
-            "base_seed": seed,
-            "alpha_hat": sq.alpha_hat,
-            "ci_low": sq.ci_low,
-            "ci_high": sq.ci_high,
-        }
+            **dict(zip(self._KEY, sq.key)), **{f: getattr(sq, f) for f in self._VALUE}}
         with open(self.path + ".lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             self._records = {**self._load(), **self._records}
@@ -345,8 +350,7 @@ def submit_alpha(pool, spec: LimitDrawSpec, delta: float, reps: int, base_seed: 
     binomial order-statistic confidence interval, and stores it in the cache
     under the exact (d, m, weight digest, delta, reps, base_seed) key.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     if reps < MIN_REPS:
         raise ValueError(
             f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {reps}"
@@ -393,9 +397,10 @@ def exact_quantile(spec: LimitDrawSpec, delta: float) -> ScalingQuantile:
     """The exact F(d, m-d) quantile of an evenly weighted spec.
 
     Only equal weights make the limit law an F law, so any other spec
-    raises ValueError. reps = 0 in the key marks a quantile that is exact,
-    not Monte Carlo.
+    raises ValueError, as does a delta outside (0, 1). reps = 0 in the key
+    marks a quantile that is exact, not Monte Carlo.
     """
+    check_delta(delta)
     if any(x != spec.w[0] for x in spec.w):
         raise ValueError("the exact F quantile needs equal weights")
     alpha = f_quantile(spec.d, spec.m - spec.d, 1.0 - delta)

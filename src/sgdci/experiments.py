@@ -3,13 +3,14 @@
 Replication r of a study consumes the stream (base_seed, r), or (base_seed,
 r, j) for its section j, and nothing else, so reports are reproducible and
 independent of scheduling. Every replicated study steps through
-`_replicate`: whole replications advance together, in groups, through
+`sgd.replicate`: whole replications advance together, in groups, through
 `sgd.run_chains`, the same driver a single run uses at R = 1, so each
 replication's iterates are those of a serial run on its stream by
 construction, and memory does not grow with R beyond the batch means. A
 comparison steps each chain set once and scores every method on it: the bm
 and BMI cells share one set of R long chains, batched under both plans in
-the same pass, and the two sectioning cells share one set of section chains.
+the same pass, and the two sectioning cells share one set of section chains
+(baselines.section_summaries).
 
 Every report embeds its full configuration. Wall-clock time is recorded for
 convenience but is the one field outside the determinism contract; cells
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import _bmi_plan, _section_plan, bmi_from_stats
+from .baselines import bmi_from_stats, bmi_plan, section_plan, section_summaries
 from .batching import (
     Allocation,
     BatchMeansSummary,
@@ -41,17 +42,18 @@ from .calibration import (
     LimitDrawSpec,
     QuantileCache,
     ScalingQuantile,
+    check_delta,
     estimate_alpha,
     exact_quantile,
     spec_from_plan,
     submit_alpha,
 )
-from .errors import DegenerateCovariance, ExcessDegeneracy, NonFiniteIterate, SgdciError
+from .errors import DegenerateCovariance, ExcessDegeneracy, SgdciError
 from .inference import VolumeFactor, build_region, marginal_intervals, submit_volume_factor
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
-from .sgd import _BLOCK_DOUBLES, _MIN_DEPTH, SgdRunConfig, StepSchedule, run_chains
-from .streams import _worker_count, derive_stream, derive_streams
+from .sgd import SgdRunConfig, StepSchedule, replicate
+from .streams import _worker_count, derive_stream
 
 DESK_REPLICATIONS = 300
 DEFAULT_CAL_REPS = 200_000
@@ -65,53 +67,6 @@ METHODS = (
     "bmi_joint",
     "bmi_marginal",
 )
-
-
-def _replication_group(chains: int, d: int) -> int:
-    """Replications per group of a replicated pass, `chains` chains each:
-    isqrt(_BLOCK_DOUBLES) chains (724), and no more than fit run_chains'
-    depth floor in its chain-major block, _BLOCK_DOUBLES // (_MIN_DEPTH *
-    (d + 1)) (390 at d = 20), rounded down to whole replications, at least one.
-
-    A smaller group steps more often in Python for the same chains; a larger
-    one makes run_chains' block shallower, so each chain draws more often.
-    In a sweep of the sectioning pass at d = 2 (BENCH_14.json), the pass time
-    at the 2^19 block was flat from about 500 to 1,500 chains and higher at
-    250 and from 2,730 up; the square root of the block sits near the low end
-    of that range, so few generators are alive at once. Each chain draws its
-    own stream in order whatever the group, so no result depends on it.
-    """
-    group = min(math.isqrt(_BLOCK_DOUBLES), _BLOCK_DOUBLES // (_MIN_DEPTH * (d + 1)))
-    return max(1, group // chains)
-
-
-def _replicate(oracle, config: SgdRunConfig, plans, R: int, base_seed: int,
-               sections: Optional[int] = None, threads: Optional[int] = None) -> list:
-    """Step R replications once; run_chains' (xi, xbar) for each boundary
-    array in plans, every chain in replication order along axis -2 of both.
-
-    Replication r is one chain on stream (base_seed, r), or `sections`
-    chains, chain j on (base_seed, r, j). Each group of _replication_group
-    whole replications derives its streams in one call and steps them in
-    one run_chains pass, inputs filled on `threads` workers; its generators
-    die with the pass. A divergence raises after every group has run, with
-    the earliest step and, at that step, the lowest replication, as one
-    pass over all would. R < 1 reaches run_chains, which rejects it.
-    """
-    tails = [()] if sections is None else [(j,) for j in range(sections)]
-    group = _replication_group(len(tails), oracle.dim)
-    parts, failures = [], []
-    for first in range(0, max(R, 1), group):
-        paths = [(r, *tail) for r in range(first, min(R, first + group)) for tail in tails]
-        try:
-            parts.append(run_chains(oracle, config, derive_streams(base_seed, paths), plans,
-                                    threads=threads))
-        except NonFiniteIterate as e:
-            failures.append((e.t, first + e.replication // len(tails)))
-    if failures:
-        t, rep = min(failures)
-        raise NonFiniteIterate(t, replication=rep)
-    return [tuple(np.concatenate(a, axis=-2) for a in zip(*plan)) for plan in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -135,6 +90,7 @@ class CoverageConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        check_delta(self.delta)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.method in ("bm_joint", "sectioning_joint") and self.m <= self.d:
@@ -172,10 +128,10 @@ class CoverageReport:
 def _cell_plan(cfg: CoverageConfig) -> BatchPlan:
     """The batch plan a cell scores; a sectioning plan has one batch per section."""
     if cfg.method.startswith("sectioning"):
-        return _section_plan(cfg.m, cfg.T)
+        return section_plan(cfg.m, cfg.T)
     if cfg.method.startswith("bmi"):
         alloc_r = cfg.alloc.r if cfg.alloc.kind in ("ibs", "dbs") else 2.0 / 3.0
-        return _bmi_plan(cfg.T, alloc_r)
+        return bmi_plan(cfg.T, alloc_r)
     return make_plan(cfg.T, cfg.m, cfg.alloc)
 
 
@@ -184,23 +140,19 @@ def _trajectory(cfg: CoverageConfig, plans, threads: Optional[int] = None) -> li
 
     bm and BMI cells run R chains of T steps, and every plan over [0, T]
     batches the same iterates. Sectioning runs m chains of T // m steps per
-    replication; its one plan has a batch per section. Both go through
-    _replicate, which fills each pass's input blocks on `threads` workers.
+    replication (baselines.section_summaries). Both step through
+    sgd.replicate, which fills each pass's input blocks on `threads` workers.
     """
     R, d = cfg.replications, cfg.d
     oracle = ORACLES[cfg.model](linspace_params(d))
-    if not cfg.method.startswith("sectioning"):
-        sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
-        return [[BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d) for r in range(R)]
-                for plan, (xi, xbar) in zip(plans, _replicate(
-                    oracle, sgd_cfg, [p.boundaries for p in plans], R, cfg.base_seed,
-                    threads=threads))]
-    (plan,) = plans
-    sgd_cfg = SgdRunConfig(T=plan.T // plan.m, burn_in=cfg.burn_in, schedule=cfg.schedule)
-    ((_, means),) = _replicate(oracle, sgd_cfg, [[0, sgd_cfg.T]], R, cfg.base_seed, plan.m,
-                               threads)
-    return [[BatchMeansSummary(plan=plan, xi=mu, xbar=mu.mean(axis=0), d=d)
-             for mu in means.reshape(R, plan.m, d)]]
+    if cfg.method.startswith("sectioning"):
+        return [section_summaries(oracle, plan, cfg.schedule, cfg.burn_in, R, cfg.base_seed,
+                                  threads=threads) for plan in plans]
+    sgd_cfg = SgdRunConfig(T=cfg.T, burn_in=cfg.burn_in, schedule=cfg.schedule)
+    return [[BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d) for r in range(R)]
+            for plan, (xi, xbar) in zip(plans, replicate(
+                oracle, sgd_cfg, [p.boundaries for p in plans], R, cfg.base_seed,
+                threads=threads))]
 
 
 def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
@@ -373,7 +325,7 @@ def run_det_study(
     """
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
     config = SgdRunConfig(T=T, burn_in=burn_in, schedule=schedule or StepSchedule())
-    ((xi, xbar),) = _replicate(ORACLES[model](linspace_params(d)), config,
+    ((xi, xbar),) = replicate(ORACLES[model](linspace_params(d)), config,
                                [plan.boundaries], R, base_seed)
     covs = [sample_cov(BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d))
             for r in range(R)]

@@ -6,9 +6,10 @@ arrays, and accumulates the post-burn-in iterates into batch sums. The step
 index t is global: burn-in iterations advance the schedule, their iterates
 are simply not averaged. `run_chains` is the one stepping loop; a single run
 (`single_run`, `run_sgd`) is its R = 1 case, so a serial run and one chain
-of a replicated study agree, and fail the same way, by construction. One
-call batches the same iterates under several plans at once: each plan keeps
-its own batch sums, added in step order, so its batch means are those of a
+of a replicated study agree, and fail the same way, by construction;
+`replicate` steps a study's replications through it in groups. One call
+batches the same iterates under several plans at once: each plan keeps its
+own batch sums, added in step order, so its batch means are those of a
 separate run, bit for bit. Inputs are rows (a, b) in a chain-major block,
 (R, depth, d + 1): each chain draws in place into its own contiguous slice,
 and step s reads row s of every chain. Each block is drawn and prepared in
@@ -19,6 +20,7 @@ thread count changes no bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteIterate, OracleDimensionMismatch
-from .streams import _worker_count
+from .streams import _worker_count, derive_streams
 
 DEFAULT_A = 0.5
 DEFAULT_R = 2.0 / 3.0
@@ -196,6 +198,53 @@ def run_chains(oracle: GradientOracle, config: SgdRunConfig, gens, plans,
             t += c
     return [(p / np.diff(b).astype(float)[:, None, None], p.sum(axis=0) / float(T))
             for p, b in zip(sums, bounds)]
+
+
+def _replication_group(chains: int, d: int) -> int:
+    """Replications per group of a replicated pass, `chains` chains each:
+    isqrt(_BLOCK_DOUBLES) chains (724), and no more than fit run_chains'
+    depth floor in its chain-major block, _BLOCK_DOUBLES // (_MIN_DEPTH *
+    (d + 1)) (390 at d = 20), rounded down to whole replications, at least one.
+
+    A smaller group steps more often in Python for the same chains; a larger
+    one makes run_chains' block shallower, so each chain draws more often.
+    In a sweep of the sectioning pass at d = 2 (BENCH_14.json), the pass time
+    at the 2^19 block was flat from about 500 to 1,500 chains and higher at
+    250 and from 2,730 up; the square root of the block sits near the low end
+    of that range, so few generators are alive at once. Each chain draws its
+    own stream in order whatever the group, so no result depends on it.
+    """
+    group = min(math.isqrt(_BLOCK_DOUBLES), _BLOCK_DOUBLES // (_MIN_DEPTH * (d + 1)))
+    return max(1, group // chains)
+
+
+def replicate(oracle: GradientOracle, config: SgdRunConfig, plans, R: int, base_seed: int,
+              sections: Optional[int] = None, threads: Optional[int] = None) -> list:
+    """Step R replications once; run_chains' (xi, xbar) for each boundary
+    array in plans, every chain in replication order along axis -2 of both.
+
+    Replication r is one chain on stream (base_seed, r), or `sections`
+    chains, chain j on (base_seed, r, j). Each group of _replication_group
+    whole replications derives its streams in one call and steps them in
+    one run_chains pass, inputs filled on `threads` workers; its generators
+    die with the pass. A divergence raises after every group has run, with
+    the earliest step and, at that step, the lowest replication, as one
+    pass over all would. R < 1 reaches run_chains, which rejects it.
+    """
+    tails = [()] if sections is None else [(j,) for j in range(sections)]
+    group = _replication_group(len(tails), oracle.dim)
+    parts, failures = [], []
+    for first in range(0, max(R, 1), group):
+        paths = [(r, *tail) for r in range(first, min(R, first + group)) for tail in tails]
+        try:
+            parts.append(run_chains(oracle, config, derive_streams(base_seed, paths), plans,
+                                    threads=threads))
+        except NonFiniteIterate as e:
+            failures.append((e.t, first + e.replication // len(tails)))
+    if failures:
+        t, rep = min(failures)
+        raise NonFiniteIterate(t, replication=rep)
+    return [tuple(np.concatenate(a, axis=-2) for a in zip(*plan)) for plan in zip(*parts)]
 
 
 def single_run(oracle: GradientOracle, config: SgdRunConfig, gen: np.random.Generator,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from sgdci import sgd
 from sgdci.baselines import (
     bmi_batch_count,
     bmi_from_stats,
@@ -12,8 +13,8 @@ from sgdci.baselines import (
 )
 from sgdci.calibration import f_quantile
 from sgdci.inference import contains
-from sgdci.models import linear_oracle, linspace_params
-from sgdci.sgd import StepSchedule
+from sgdci.models import linear_oracle, linspace_params, logistic_oracle
+from sgdci.sgd import SgdRunConfig, StepSchedule, single_run
 from sgdci.streams import derive_stream
 
 
@@ -54,8 +55,13 @@ def test_bmi_infer_minimum_run_length():
         bmi_infer(linear_oracle(params), T=15, delta=0.05, gen=derive_stream(8))
 
 
+def _no_stepping(*args, **kwargs):
+    raise AssertionError("a chain stepped")
+
+
 @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan")])
-def test_bmi_rejects_delta_outside_the_unit_interval(delta):
+def test_bmi_rejects_delta_outside_the_unit_interval(delta, monkeypatch):
+    monkeypatch.setattr(sgd, "run_chains", _no_stepping)  # rejected before any step
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
         bmi_infer(linear_oracle(linspace_params(2)), T=400, delta=delta, gen=derive_stream(9))
 
@@ -73,18 +79,18 @@ def test_width_comparison_predicate():
 class TestSectioning:
     def setup_method(self):
         self.params = linspace_params(2)
-        self.factory = lambda j: linear_oracle(self.params)
+        self.oracle = linear_oracle(self.params)
 
     def test_deterministic(self):
         kw = dict(m=8, total_T=4000, schedule=StepSchedule(), delta=0.05, base_seed=5)
-        a = sectioning_infer(self.factory, **kw)
-        b = sectioning_infer(self.factory, **kw)
+        a = sectioning_infer(self.oracle, **kw)
+        b = sectioning_infer(self.oracle, **kw)
         assert np.array_equal(a.section_means, b.section_means)
         assert np.array_equal(a.pooled_mean, b.pooled_mean)
 
     def test_sections_are_distinct_runs(self):
         res = sectioning_infer(
-            self.factory, m=6, total_T=3000, schedule=StepSchedule(),
+            self.oracle, m=6, total_T=3000, schedule=StepSchedule(),
             delta=0.05, base_seed=6,
         )
         assert res.section_means.shape == (6, 2)
@@ -94,7 +100,7 @@ class TestSectioning:
     def test_joint_scale_is_exact_f_quantile(self):
         m, d = 10, 2
         res = sectioning_infer(
-            self.factory, m=m, total_T=5000, schedule=StepSchedule(),
+            self.oracle, m=m, total_T=5000, schedule=StepSchedule(),
             delta=0.05, base_seed=7,
         )
         alpha = f_quantile(d, m - d, 0.95)
@@ -106,7 +112,7 @@ class TestSectioning:
     def test_marginal_uses_one_dim_f(self):
         m = 8
         res = sectioning_infer(
-            self.factory, m=m, total_T=4000, schedule=StepSchedule(),
+            self.oracle, m=m, total_T=4000, schedule=StepSchedule(),
             delta=0.05, base_seed=8,
         )
         alpha_1 = f_quantile(1, m - 1, 0.95)
@@ -116,7 +122,7 @@ class TestSectioning:
     def test_no_joint_region_when_sections_too_few(self):
         params5 = linspace_params(5)
         res = sectioning_infer(
-            lambda j: linear_oracle(params5), m=4, total_T=2000,
+            linear_oracle(params5), m=4, total_T=2000,
             schedule=StepSchedule(), delta=0.05, base_seed=9,
         )
         assert res.region is None
@@ -125,13 +131,34 @@ class TestSectioning:
     def test_section_count_floor(self):
         with pytest.raises(ValueError):
             sectioning_infer(
-                self.factory, m=1, total_T=100, schedule=StepSchedule(),
+                self.oracle, m=1, total_T=100, schedule=StepSchedule(),
                 delta=0.05, base_seed=10,
             )
 
     def test_empty_sections_rejected(self):
         with pytest.raises(ValueError):
             sectioning_infer(
-                self.factory, m=50, total_T=30, schedule=StepSchedule(),
+                self.oracle, m=50, total_T=30, schedule=StepSchedule(),
                 delta=0.05, base_seed=11,
             )
+
+    @pytest.mark.parametrize("delta", [-0.5, 1.5, float("nan")])
+    def test_delta_is_checked_before_any_step(self, delta, monkeypatch):
+        monkeypatch.setattr(sgd, "run_chains", _no_stepping)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            sectioning_infer(self.oracle, m=8, total_T=400, schedule=StepSchedule(),
+                             delta=delta, base_seed=0)
+
+    @pytest.mark.parametrize("make, d, m, T", [(linear_oracle, 2, 30, 20000),
+                                               (logistic_oracle, 3, 15, 3000),
+                                               (linear_oracle, 5, 8, 4000)])
+    def test_section_j_is_a_serial_run_on_stream_zero_j(self, make, d, m, T):
+        oracle = make(linspace_params(d))
+        res = sectioning_infer(oracle, m=m, total_T=T, schedule=StepSchedule(), delta=0.05,
+                               base_seed=12, burn_in=10)
+        cfg = SgdRunConfig(T=T // m, burn_in=10)
+        serial = [single_run(oracle, cfg, derive_stream(12, 0, j), [0, T // m])[1]
+                  for j in range(m)]
+        assert np.array_equal(res.section_means, np.array(serial))
+        assert np.array_equal(res.pooled_mean, np.array(serial).mean(axis=0))
+        assert res.section_T == T // m

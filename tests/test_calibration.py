@@ -426,6 +426,34 @@ class TestQuantileCache:
             QuantileCache(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [(None, 5), ("alpha_hat", None),
+                                              ("ci_low", float("inf")), ("reps", "10000"),
+                                              ("delta", True), ("weights_key", 3),
+                                              ("ci_high", "missing")])
+    def test_malformed_record_is_refused_by_name(self, tmp_path, field, value):
+        fresh = estimate_alpha(even_spec(1, 6), 0.05, 10**4, 83)
+        key = QuantileCache._key_str(fresh.key)
+        d, m, wkey, delta, reps, seed = fresh.key
+        rec = {"d": d, "m": m, "weights_key": wkey, "delta": delta, "reps": reps,
+               "base_seed": seed, "alpha_hat": fresh.alpha_hat, "ci_low": fresh.ci_low,
+               "ci_high": fresh.ci_high}
+        if field is None:
+            rec = value
+        elif value == "missing":
+            del rec[field]
+        else:
+            rec[field] = value
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({key: rec}))
+        with pytest.raises(ValueError, match="malformed record") as exc:
+            QuantileCache(path)
+        assert str(path) in str(exc.value) and repr(key) in str(exc.value)
+
+    def test_well_formed_records_load(self, tmp_path):
+        path = tmp_path / "q.json"
+        sq = estimate_alpha(even_spec(1, 6), 0.05, 10**4, 84, cache=QuantileCache(path))
+        assert QuantileCache(path).get(sq.key) == sq
+
     def test_weights_key_sensitivity(self):
         w1 = (0.5, 0.5)
         w2 = (0.5000001, 0.4999999)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sgdci.batching import Allocation, ideal_weights
-from sgdci.calibration import QuantileCache, ScalingQuantile, weights_key
+from sgdci.calibration import KERNEL_ROUTE, QuantileCache, ScalingQuantile, weights_key
 from sgdci.cli import build_parser, main
 
 
@@ -80,6 +80,16 @@ class TestCalibrate:
         rc = main(["calibrate", "--d", "1", "--reps", "20000", "--no-cache"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ValueError:")
+
+    def test_malformed_cache_record_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        key = f"route={KERNEL_ROUTE}|d=1|m=6|w=0|delta=0.05|reps=20000|seed=5"
+        path.write_text(json.dumps({key: 5}))
+        rc = main(["calibrate", "--d", "1", "--m", "6", "--reps", "20000",
+                   "--cache", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError:") and str(path) in err and key in err
 
     def test_weights_need_custom_alloc(self, capsys):
         rc = main(["calibrate", "--d", "1", "--m", "8", "--alloc", "es",

@@ -167,8 +167,8 @@ class TestSingleRunAgreement:
             iv = marginal_intervals(summary, alpha)
             return _band(iv.lo, iv.hi, x_star, joint)
         if method.startswith("sectioning"):
-            res = sectioning_infer(lambda j: factory(params), m, self.T, StepSchedule(),
-                                   self.delta, self.seed, lineage_prefix=(0,))
+            res = sectioning_infer(factory(params), m, self.T, StepSchedule(), self.delta,
+                                   self.seed)
             if joint:
                 quad = quad_form_inv(res.region.shape, res.region.center - x_star)
                 return contains(res.region, x_star), quad
@@ -253,6 +253,17 @@ class TestDivergence:
         err = self._coverage("sectioning_marginal", R=R, m=m)
         assert (err.t, err.replication) == (steps[first], first[0])
 
+    def test_single_and_replicated_sectioning_report_the_same_step(self):
+        m = 4
+        steps = [self._serial_step(0, 0, j, T=self.T // m) for j in range(m)]
+        assert steps == [635, 627, 608, 651]
+        with pytest.raises(NonFiniteIterate) as single:
+            sectioning_infer(linear_oracle(linspace_params(self.d)), m, self.T, self.sched,
+                             0.05, 0)
+        assert (single.value.t, single.value.replication) == (608, None)
+        err = self._coverage("sectioning_marginal", R=1, m=m)
+        assert (err.t, err.replication) == (608, 0)
+
     def test_sectioning_groups_report_the_earliest_step(self, monkeypatch):
         # one replication per group: replication 0 diverges in the first
         # group, a later replication at an earlier step in a later group
@@ -261,7 +272,7 @@ class TestDivergence:
                  for rep in range(R) for j in range(m)}
         first = min(steps, key=lambda k: (steps[k], k))
         assert first[0] > 0
-        monkeypatch.setattr(experiments, "_replication_group", lambda chains, d: 1)
+        monkeypatch.setattr(sgd, "_replication_group", lambda chains, d: 1)
         err = self._coverage("sectioning_marginal", R=R, m=m)
         assert (err.t, err.replication) == (steps[first], first[0])
 
@@ -271,7 +282,7 @@ class TestDivergence:
         steps = [self._serial_step(0, rep) for rep in range(3)]
         first = steps.index(min(steps))
         assert first > 0
-        monkeypatch.setattr(experiments, "_replication_group", lambda chains, d: 1)
+        monkeypatch.setattr(sgd, "_replication_group", lambda chains, d: 1)
         for method in ("bm_marginal", "bmi_joint"):
             err = self._coverage(method, R=3)
             assert (err.t, err.replication) == (steps[first], first)
@@ -310,7 +321,7 @@ class TestSectionGroups:
         shipped = signatures()
         # (R, 2^21): all sections in one pass with a 16 MB input block
         for group, block in ((1, sgd._BLOCK_DOUBLES), (3, 64), (R, 1 << 21)):
-            monkeypatch.setattr(experiments, "_replication_group", lambda chains, d, g=group: g)
+            monkeypatch.setattr(sgd, "_replication_group", lambda chains, d, g=group: g)
             monkeypatch.setattr(sgd, "_BLOCK_DOUBLES", block)
             assert signatures() == shipped
 
@@ -361,7 +372,7 @@ class TestSectionGroups:
     def test_block_stays_in_budget_at_large_d(self):
         # at d = 20 a 720-chain group would need 64 * 720 * 21 doubles (7.7 MB)
         # for run_chains' 64-step floor; the group rule caps it at 390 chains
-        assert experiments._replication_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
+        assert sgd._replication_group(30, 20) * 30 * 64 * 21 <= sgd._BLOCK_DOUBLES
         assert self._peak("linear", 20) <= 1.5 * 8 * sgd._BLOCK_DOUBLES
         # at d = 2 the 720-chain block is 242 steps deep; the block hook works
         # in slices of at most _SLICE_ROWS rows, so its temporaries (einsum,
@@ -438,7 +449,7 @@ class TestSharedRules:
     @pytest.mark.parametrize("m, T", [(1, 400), (50, 30)])
     def test_sectioning_rules_raise_the_same_error(self, m, T):
         with pytest.raises(Exception) as single:
-            sectioning_infer(lambda j: linear_oracle(linspace_params(1)), m, T,
+            sectioning_infer(linear_oracle(linspace_params(1)), m, T,
                              StepSchedule(), 0.05, 0)
         with pytest.raises(Exception) as replicated:
             self._coverage(method="sectioning_marginal", m=m, T=T)
@@ -583,13 +594,17 @@ class TestComparison:
         )
         assert all(not isinstance(r, FailedCell) for r in out)
 
-    @pytest.mark.parametrize("delta", [1.5, float("nan")])
-    def test_invalid_delta_fails_every_cell(self, delta):
+    @pytest.mark.parametrize("delta", [-0.5, 1.5, float("nan")])
+    def test_invalid_delta_fails_every_cell(self, delta, monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a chain stepped")
+
+        monkeypatch.setattr(sgd, "run_chains", no_stepping)  # every cell fails first
         out = run_comparison("linear", 2, 400, 10, Allocation(kind="ibs"), delta,
                              replications=3, base_seed=0, cal_reps=10000)
         assert [type(r) for r in out] == [FailedCell] * len(METHODS)
-        assert all("delta must lie in (0, 1)" in r.error for r in out
-                   if not r.method.startswith("sectioning"))
+        assert all(r.error == f"ValueError: delta must lie in (0, 1), got {delta}"
+                   for r in out)
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         # cold caches and three calibration chunks per quantile, so the

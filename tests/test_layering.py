@@ -1,5 +1,6 @@
-"""Layering rules: the modules above calibration and inference use only
-their public names, and every random stream is built in `streams`."""
+"""Layering rules: the modules above calibration, inference, sgd and
+baselines use only their public names, and every random stream is built in
+`streams`."""
 
 import ast
 from pathlib import Path
@@ -8,36 +9,51 @@ import pytest
 
 import sgdci
 
-LOWER = {"calibration", "inference"}
+UPPER = ["experiments", "baselines", "cli"]
 
 
-def _private_uses(tree) -> list:
-    """`from .calibration import _x` (relative or absolute) and `calibration._x`."""
+def _private_uses(tree, lower) -> list:
+    """`from .calibration import _x` (relative or absolute) and `calibration._x`,
+    for each module named in lower."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module is not None:
             module = node.module.removeprefix("sgdci.")
-            if module in LOWER and (node.level == 1 or node.module.startswith("sgdci.")):
+            if module in lower and (node.level == 1 or node.module.startswith("sgdci.")):
                 found += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in LOWER and node.attr.startswith("_")):
+              and node.value.id in lower and node.attr.startswith("_")):
             found.append(f"{node.value.id}.{node.attr}")
     return found
 
 
-@pytest.mark.parametrize("module", ["experiments", "baselines", "cli"])
+def _tree(module):
+    return ast.parse((Path(sgdci.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", UPPER)
 def test_no_private_calibration_or_inference_names(module):
-    source = (Path(sgdci.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
-    assert _private_uses(ast.parse(source)) == []
+    assert _private_uses(_tree(module), {"calibration", "inference"}) == []
+
+
+@pytest.mark.parametrize("module", UPPER)
+def test_no_private_sgd_or_baselines_names(module):
+    assert _private_uses(_tree(module), {"sgd", "baselines"}) == []
 
 
 def test_the_check_sees_each_form():
     source = ("from .calibration import _eval_chunk, estimate_alpha\n"
               "from sgdci.inference import _gram_blocks\n"
               "from . import calibration\n"
-              "calibration._chunk_size(spec)\n")
-    assert _private_uses(ast.parse(source)) == [
+              "calibration._chunk_size(spec)\n"
+              "from .sgd import _BLOCK_DOUBLES, replicate\n"
+              "from sgdci.baselines import _section_plan\n"
+              "from . import sgd\n"
+              "sgd._replication_group(30, 20)\n")
+    assert _private_uses(ast.parse(source), {"calibration", "inference"}) == [
         "calibration._eval_chunk", "inference._gram_blocks", "calibration._chunk_size"]
+    assert _private_uses(ast.parse(source), {"sgd", "baselines"}) == [
+        "sgd._BLOCK_DOUBLES", "baselines._section_plan", "sgd._replication_group"]
 
 
 STREAM_BUILDERS = {"SeedSequence", "PCG64", "default_rng", "Generator"}
