@@ -10,15 +10,22 @@ as a distribution-free order-statistic confidence interval.
 Draw generation is chunked: chunk k of a calibration run consumes the
 stream (base_seed, k), the unit of stream and of thread, so results are
 independent of thread count. submit_alpha is the one way to start a
-calibration: it checks the arguments, serves a cache hit or submits the
-chunks to a caller's pool, and returns a finisher that gives the quantile
-and stores a miss; estimate_alpha runs it on a pool of its own, and the
-volume study (experiments.run_volume_study) submits it and
-inference.submit_volume_factor for two batch counts at a time, largest first.
+calibration: it checks the arguments, serves each cache hit and submits
+the misses' chunks to a caller's pool, and returns one finisher per spec
+that gives the quantile and stores a miss; estimate_alpha runs it for one
+spec on a pool of its own, and the volume study
+(experiments.run_volume_study) submits it for all of its batch counts at
+once, then inference.submit_volume_factor for each. Every spec reads a
+prefix of the same streams, so the specs of one call share chunk k: one
+task draws stream (base_seed, k) once, onto a _Tape, and each spec reads
+its blocks from it (common random numbers across the specs, with the
+values each spec gets alone).
 Memory is bounded by blocks, not chunks: _gram_blocks walks a chunk, and the
 determinant pass of the volume factor, in blocks of about 512 KB of normals,
 reduced to their Gram matrices in place while a block and its centering
-temporary fit in a core's L2 cache, so a worker holds one block at a time.
+temporary fit in a core's L2 cache. A chunk task holds one block buffer,
+shared by its specs, and a tape of two blocks; the statistics of each
+missed spec (reps doubles) are held from submission until its finisher.
 Each block's batched Gram matmul, solve and slogdet hold one process-wide
 lock, _BLAS_LOCK: OpenBLAS makes one small call per draw there, and two
 workers making them at once spent 3-5x the CPU of each call alone
@@ -52,6 +59,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +68,7 @@ from scipy.special import bdtr, bdtrik, betainc
 from .batching import _joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
-from .streams import _worker_count, derive_stream
+from .streams import _worker_count, derive_stream, derive_streams
 
 MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
@@ -105,6 +113,14 @@ def check_delta(delta: float) -> None:
     """The one rule for a miss probability: delta in the open interval (0, 1)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def check_reps(reps: int) -> None:
+    """The one rule for a calibration's draw count: at least MIN_REPS."""
+    if reps < MIN_REPS:
+        raise ValueError(
+            f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {reps}"
+        )
 
 
 def spec_from_plan(plan, d: int) -> LimitDrawSpec:
@@ -190,24 +206,36 @@ def _chunk_size(spec: LimitDrawSpec) -> int:
     return max(128, min(65536, (1 << 24) // max(1, spec.m * spec.d)))
 
 
-def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: bool):
-    """Yield (G, Z) for n skeleton draws from gen, in blocks of about 512 KB.
+def _block_size(spec: LimitDrawSpec, n: int, with_z: bool) -> tuple:
+    """(rows, doubles) of one block of _gram_blocks over n draws of spec."""
+    width = spec.m * spec.d + (spec.d if with_z else 0)
+    rows = min(n, max(16, _BLOCK_DOUBLES // (spec.m * spec.d + spec.d)))
+    return rows, rows * width
 
-    Each draw takes m*d standard normals for the increments (batch-major)
-    and, if with_z, d more for Z; drawing block by block consumes exactly
-    the normals of one (n, m*d [+ d]) call. G (b, d, d) is g_of_skeleton of
-    each draw, formed in place over the block's normals; Z is None without
-    with_z. Every block is drawn into one buffer, so a yielded Z is valid
-    only until the next block is drawn; G is the caller's to keep.
+
+def _gram_blocks(spec: LimitDrawSpec, fill: Callable, n: int, with_z: bool,
+                 buf: Optional[np.ndarray] = None):
+    """Yield (G, Z) for n skeleton draws, in blocks of about 512 KB.
+
+    fill(out=block) writes the next normals of the draws' stream into a
+    C-contiguous (rows, width) block: a generator's standard_normal, or a
+    read from a _Tape. Each draw takes m*d standard normals for the increments
+    (batch-major) and, if with_z, d more for Z; reading block by block
+    consumes exactly the normals of one (n, m*d [+ d]) call. G (b, d, d) is
+    g_of_skeleton of each draw, formed in place over the block's normals; Z
+    is None without with_z. Every block is read into buf (flat, at least
+    _block_size long; allocated when None), so a yielded Z is valid only
+    until the next block is read; G is the caller's to keep.
     """
     m, d = spec.m, spec.d
     width = m * d + (d if with_z else 0)
-    rows = max(16, _BLOCK_DOUBLES // (m * d + d))
+    rows, size = _block_size(spec, n, with_z)
     sqw = np.sqrt(np.asarray(spec.w))
     sqw_flat = np.repeat(sqw, d)  # sqrt(w_i) at each of batch i's d normals
-    buf = np.empty((min(rows, n), width))
+    buf = np.empty(size) if buf is None else buf
     for start in range(0, n, rows):
-        raw = gen.standard_normal(out=buf[: min(rows, n - start)])
+        raw = buf[: min(rows, n - start) * width].reshape(-1, width)
+        fill(out=raw)
         flat = raw[:, : m * d]
         N = flat.reshape(-1, m, d)
         b1 = np.matmul(sqw, N)  # B(1), the increments' sum
@@ -219,17 +247,71 @@ def _gram_blocks(spec: LimitDrawSpec, gen: np.random.Generator, n: int, with_z: 
         yield G, (raw[:, m * d :] if with_z else None)
 
 
-def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
-    """n statistics from stream (base_seed, chunk_index), batched.
+class _Tape:
+    """One stream's normals, drawn once for several readers of its prefixes.
+
+    needs holds how many normals each reader takes, block is the largest
+    block one read asks for. Each reader reads its prefix block by block,
+    read(pos, out) filling out from stream offset pos, and the caller lets
+    the reader furthest behind read next, so no read starts before an
+    earlier one. The tape keeps the normals from the reader furthest behind to the
+    furthest one drawn, at most two blocks: a refill moves that unread tail
+    to the front and draws the rest of the window in one call. Normals past
+    every reader's prefix but one are drawn straight into that reader's
+    block, so a lone reader reads the stream as its generator would.
+    """
+
+    def __init__(self, gen: np.random.Generator, needs, block: int):
+        self.gen = gen
+        self.total = max(needs)
+        self.lone_from = sorted(needs)[-2] if len(needs) > 1 else 0
+        self.window = np.empty(2 * block if self.lone_from else 0)
+        self.start = self.end = 0  # stream offsets of window[0] and of the next draw
+
+    def read(self, pos: int, out: np.ndarray) -> None:
+        out = out.reshape(-1)  # a view: out is C-contiguous
+        n, lo = out.size, pos - self.start
+        if pos + n > self.end:
+            tail = self.end - pos
+            if pos >= self.lone_from:  # no other reader needs what follows
+                out[:tail] = self.window[lo : lo + tail]
+                self.gen.standard_normal(out=out[tail:])
+                self.start = self.end = pos + n
+                return
+            self.window[:tail] = self.window[lo : lo + tail]
+            fresh = min(self.window.size - tail, self.total - self.end)
+            self.gen.standard_normal(out=self.window[tail : tail + fresh])
+            self.start, self.end, lo = pos, self.end + fresh, 0
+        out[:] = self.window[lo : lo + n]
+
+
+def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generator) -> None:
+    """Fill each cell's statistics from gen, the stream (base_seed, chunk_index).
+
+    cells holds (spec, out) pairs: out receives the statistics of spec's
+    first len(out) draws on the stream, batched, each a prefix of the same
+    normals. They are drawn once, onto a _Tape, and every cell reads its
+    blocks from it into one block buffer, the cell furthest behind first;
+    each block is solved before the next is read. A lone cell's values are
+    those the stream gives it alone.
 
     An exactly singular G (probability zero) fails the block's solve; its
     draws are solved against I instead, so the block's other draws keep
     their values, and are then redrawn through simulate_limit_draw from the
-    rescue stream (base_seed, 2**32 + chunk_index).
+    cell's own rescue stream (base_seed, 2**32 + chunk_index).
     """
-    stats = np.empty(n)
-    done, scale = 0, _joint_constant(spec.d, spec.m)
-    for G, Z in _gram_blocks(spec, derive_stream(base_seed, chunk_index), n, with_z=True):
+    widths = [spec.m * spec.d + spec.d for spec, _ in cells]
+    block = max(_block_size(spec, len(out), True)[1] for spec, out in cells)
+    tape = _Tape(gen, [len(out) * w for (_, out), w in zip(cells, widths)], block)
+    buf = np.empty(block)
+    done = [0] * len(cells)  # draws each cell has read: it is at done[i] * widths[i]
+    walks = [_gram_blocks(spec, lambda out, i=i: tape.read(done[i] * widths[i], out),
+                          len(stats), True, buf) for i, (spec, stats) in enumerate(cells)]
+    live = list(range(len(cells)))
+    while live:
+        i = min(live, key=lambda j: done[j] * widths[j])
+        spec, out = cells[i]
+        G, Z = next(walks[i])
         with _BLAS_LOCK:  # the rescue's det and solve run under the same hold
             try:
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
@@ -238,14 +320,17 @@ def _eval_chunk(spec: LimitDrawSpec, n: int, chunk_index: int, base_seed: int):
                 G[singular] = np.eye(spec.d)
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
                 Z[singular] = np.nan  # rescued below
-        stats[done : done + len(G)] = np.einsum("nd,nd->n", Z, sol) / scale
-        done += len(G)
-    bad = ~np.isfinite(stats)
-    if np.any(bad):
-        rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
-        for i in np.nonzero(bad)[0]:
-            stats[i] = simulate_limit_draw(spec, rescue)
-    return stats
+        stats = np.einsum("nd,nd->n", Z, sol) / _joint_constant(spec.d, spec.m)
+        out[done[i] : done[i] + len(G)] = stats
+        done[i] += len(G)
+        if done[i] == len(out):
+            live.remove(i)
+    for spec, out in cells:
+        bad = np.nonzero(~np.isfinite(out))[0]
+        if len(bad):
+            rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
+            for j in bad:
+                out[j] = simulate_limit_draw(spec, rescue)
 
 
 class QuantileCache:
@@ -332,56 +417,80 @@ def estimate_alpha(
 ) -> ScalingQuantile:
     """Empirical (1-delta)-quantile of the limiting statistic.
 
-    What submit_alpha's finisher gives, with the chunks run on a pool of
-    `threads` workers (None: every usable CPU); no result depends on it.
+    What submit_alpha's finisher gives for [spec], with the chunks run on a
+    pool of `threads` workers (None: every usable CPU); no result depends
+    on it.
     """
     with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
-        return submit_alpha(pool, spec, delta, reps, base_seed, cache)()
+        (finish,) = submit_alpha(pool, [spec], delta, reps, base_seed, cache)
+        return finish()
 
 
-def submit_alpha(pool, spec: LimitDrawSpec, delta: float, reps: int, base_seed: int,
-                 cache: Optional[QuantileCache] = None) -> Callable[[], ScalingQuantile]:
-    """Start a calibration on pool; returns a finisher giving its ScalingQuantile.
+def submit_alpha(pool, specs, delta: float, reps: int, base_seed: int,
+                 cache: Optional[QuantileCache] = None) -> list:
+    """Start the calibration of each spec on pool; returns one finisher per
+    spec, each giving that spec's ScalingQuantile.
 
-    The arguments are checked, and a heavy tail warned of, before any draw.
-    A cache hit submits nothing. Otherwise chunk k runs on stream
-    (base_seed, k), submitted in order, and the finisher takes the order
-    statistic of rank ceil((1-delta)*reps) over the reps draws, with a 95%
-    binomial order-statistic confidence interval, and stores it in the cache
-    under the exact (d, m, weight digest, delta, reps, base_seed) key.
+    The arguments are checked, and each narrow spec's heavy tail warned of
+    once, before any stream is derived or drawn. A cache hit submits
+    nothing for its spec, and a repeated spec is calibrated once. Chunk k
+    of a miss draws from stream (base_seed, k), so the misses' chunk k are
+    one task, submitted in order of k (each with no more normals than the
+    last), that draws the stream once for all of them (_eval_chunk). A
+    finisher takes the order statistic of rank ceil((1-delta)*reps) over
+    its spec's reps draws, with a 95% binomial order-statistic confidence
+    interval, and stores it in the cache under the exact (d, m, weight
+    digest, delta, reps, base_seed) key. Each is what a call for that spec
+    alone gives. Each miss holds its reps statistics, one preallocated
+    array that its chunks fill by slices, until its finisher runs.
     """
     check_delta(delta)
-    if reps < MIN_REPS:
-        raise ValueError(
-            f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {reps}"
-        )
-    if spec.m - spec.d < HEAVY_TAIL_GAP:
-        _warn_at_caller(
-            f"m - d = {spec.m - spec.d} < {HEAVY_TAIL_GAP}: the limiting "
-            "statistic is heavy-tailed and the quantile estimate will be noisy"
-        )
-    key = (spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
-    hit = cache.get(key) if cache is not None else None
-    if hit is not None:
-        return lambda: hit
-    chunk = _chunk_size(spec)
-    chunks = [pool.submit(_eval_chunk, spec, min(chunk, reps - b), k, base_seed)
-              for k, b in enumerate(range(0, reps, chunk))]
+    check_reps(reps)
+    keys = [(spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
+            for spec in specs]
+    hits, misses = {}, {}  # key -> ScalingQuantile; key -> (spec, stats, chunk)
+    for spec, key in zip(specs, keys):
+        if key in hits or key in misses:
+            continue
+        if spec.m - spec.d < HEAVY_TAIL_GAP:
+            _warn_at_caller(
+                f"m - d = {spec.m - spec.d} < {HEAVY_TAIL_GAP}: the limiting "
+                "statistic is heavy-tailed and the quantile estimate will be noisy"
+            )
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            misses[key] = (spec, np.empty(reps), _chunk_size(spec))
+        else:
+            hits[key] = hit
+    n_streams = max((-(-reps // chunk) for _, _, chunk in misses.values()), default=0)
+    tasks = []
+    for k, gen in enumerate(derive_streams(base_seed, [(k,) for k in range(n_streams)])):
+        cells = [(spec, stats[k * chunk : (k + 1) * chunk])
+                 for spec, stats, chunk in misses.values() if k * chunk < reps]
+        tasks.append(pool.submit(_eval_chunk, cells, k, base_seed, gen))
+    finishers = {key: (lambda hit=hit: hit) for key, hit in hits.items()}
+    finishers.update(
+        (key, partial(_order_statistic, key, stats, cache, tasks[: -(-reps // chunk)]))
+        for key, (_, stats, chunk) in misses.items())
+    return [finishers[key] for key in keys]
 
-    def finish() -> ScalingQuantile:
-        stats = np.concatenate([f.result() for f in chunks])
-        stats.sort()
-        p, n = 1.0 - key[3], key[4]
-        k = int(np.ceil(p * n))
-        lo_rank = min(max(_binom_ppf(0.025, n, p), 1), k)
-        hi_rank = max(min(_binom_ppf(0.975, n, p) + 1, n), k)
-        sq = ScalingQuantile(alpha_hat=float(stats[k - 1]), ci_low=float(stats[lo_rank - 1]),
-                             ci_high=float(stats[hi_rank - 1]), delta=key[3], reps=n, key=key)
-        if cache is not None:
-            cache.put(sq)
-        return sq
 
-    return finish
+def _order_statistic(key: tuple, stats: np.ndarray, cache: Optional[QuantileCache],
+                     tasks) -> ScalingQuantile:
+    """The ScalingQuantile of key from the reps statistics that tasks fill,
+    stored in cache."""
+    for task in tasks:
+        task.result()
+    stats.sort()
+    p, n = 1.0 - key[3], key[4]
+    k = int(np.ceil(p * n))
+    lo_rank = min(max(_binom_ppf(0.025, n, p), 1), k)
+    hi_rank = max(min(_binom_ppf(0.975, n, p) + 1, n), k)
+    sq = ScalingQuantile(alpha_hat=float(stats[k - 1]), ci_low=float(stats[lo_rank - 1]),
+                         ci_high=float(stats[hi_rank - 1]), delta=key[3], reps=n, key=key)
+    if cache is not None:
+        cache.put(sq)
+    return sq
 
 
 def _warn_at_caller(message: str) -> None:

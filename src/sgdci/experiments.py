@@ -43,6 +43,7 @@ from .calibration import (
     QuantileCache,
     ScalingQuantile,
     check_delta,
+    check_reps,
     estimate_alpha,
     exact_quantile,
     spec_from_plan,
@@ -53,7 +54,7 @@ from .inference import VolumeFactor, build_region, marginal_intervals, submit_vo
 from .linalg import SymMatrix, det_sqrt, quad_form_inv
 from .models import ORACLES, linspace_params
 from .sgd import SgdRunConfig, StepSchedule, replicate
-from .streams import _worker_count, derive_stream
+from .streams import _worker_count, derive_streams
 
 DESK_REPLICATIONS = 300
 DEFAULT_CAL_REPS = 200_000
@@ -91,6 +92,8 @@ class CoverageConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_delta(self.delta)
+        if self.method.startswith("bm_"):
+            check_reps(self.cal_reps)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.method in ("bm_joint", "sectioning_joint") and self.m <= self.d:
@@ -264,12 +267,16 @@ def run_volume_study(
 
     Row i holds what estimate_alpha (with this cache and base_seed) and
     expected_volume_factor (on stream (base_seed, 7_000_000 + m)) give for
-    batch count m_list[i]; every argument is checked before the first draw,
-    and a repeated m is run once. All draws run on one pool of `threads`
-    workers (None: all usable CPUs), largest m first, as cost grows with m;
-    the next cell is submitted before this cell's finishers run here, so at
-    most two cells' draws are held at once. Their BLAS calls hold one lock,
-    which caps what more workers gain.
+    batch count m_list[i]; every argument is checked before the first
+    stream or draw, and a repeated m is run once. All draws run on one pool
+    of `threads` workers (None: all usable CPUs): one submit_alpha call for
+    every batch count, whose chunk k serves all the missed cells from one
+    draw of stream (base_seed, k), then the determinant passes, largest m
+    first, as cost grows with m. Their BLAS calls hold one lock, which caps
+    what more workers gain. The study holds the statistics of all its
+    missed cells at once, len(set(m_list)) * reps doubles (3.2 MB at
+    reps = 1e5 and four batch counts, 256 MB at reps = 8e6), and each
+    running determinant pass holds its det_reps draws.
     """
     det_n = det_reps if det_reps is not None else reps
     if det_n < 1:
@@ -279,28 +286,19 @@ def run_volume_study(
         if m <= d:
             raise ValueError(f"volume study needs m > d, got m={m}, d={d}")
         specs.append(LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation))))
-
-    def submit(spec):
-        # the first cell's submit_alpha checks delta and reps, which every cell shares
-        return (submit_alpha(pool, spec, delta, reps, base_seed, cache),
-                submit_volume_factor(pool, spec, det_n,
-                                     derive_stream(base_seed, 7_000_000 + spec.m)))
-
-    def decide(alpha, factor) -> None:
-        sq = alpha()
-        vf = factor(sq)
-        rows[vf.m] = VolumeRow(d=d, m=vf.m, allocation=allocation.kind, delta=delta, reps=reps,
-                               det_reps=det_n, base_seed=base_seed, factor=vf, alpha=sq)
-
-    rows, ahead = {}, []
+    cells = sorted({s.m: s for s in specs}.values(), key=lambda s: -s.m)
+    rows = {}
     pool = ThreadPoolExecutor(max_workers=_worker_count(threads))
     try:
-        for spec in sorted({s.m: s for s in specs}.values(), key=lambda s: -s.m):
-            ahead.append(submit(spec))
-            if len(ahead) == 2:
-                decide(*ahead.pop(0))
-        for cell in ahead:
-            decide(*cell)
+        alphas = submit_alpha(pool, cells, delta, reps, base_seed, cache)
+        gens = derive_streams(base_seed, [(7_000_000 + s.m,) for s in cells])
+        factors = [submit_volume_factor(pool, s, det_n, gen) for s, gen in zip(cells, gens)]
+        for alpha, factor in zip(alphas, factors):
+            sq = alpha()
+            vf = factor(sq)
+            rows[vf.m] = VolumeRow(d=d, m=vf.m, allocation=allocation.kind, delta=delta,
+                                   reps=reps, det_reps=det_n, base_seed=base_seed, factor=vf,
+                                   alpha=sq)
     finally:
         pool.shutdown(cancel_futures=True)
     return [rows[m] for m in m_list]

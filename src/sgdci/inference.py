@@ -159,37 +159,42 @@ def expected_volume_factor(
         return submit_volume_factor(pool, spec, reps, gen)(alpha)
 
 
+def _det_sqrts(spec: LimitDrawSpec, gen: np.random.Generator, reps: int) -> np.ndarray:
+    """det(g)^{1/2} of reps skeleton draws from gen, 0 where det(g) <= 0."""
+    dets = np.empty(reps)
+    done = 0
+    for G, _ in _gram_blocks(spec, gen.standard_normal, reps, with_z=False):
+        with _BLAS_LOCK:
+            sign, logdet = np.linalg.slogdet(G)
+        dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
+        done += len(G)
+    return dets
+
+
 def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
                          gen: np.random.Generator) -> Callable[[ScalingQuantile], VolumeFactor]:
     """Start the determinant pass on pool; returns a finisher alpha -> VolumeFactor.
 
-    The pass takes det(g)^{1/2} of reps skeleton draws from gen (0 where
-    det(g) <= 0) and averages them into E[det(g)^{1/2}]. The finisher checks
-    that alpha was calibrated for spec; the reported standard error combines
-    the pass's sampling error with the quantile's own confidence interval
-    through first-order propagation.
+    The pass takes det(g)^{1/2} of reps skeleton draws from gen and averages
+    them into E[det(g)^{1/2}] with its standard error, so it holds its
+    draws only while it runs. The finisher checks that alpha was calibrated
+    for spec; the reported standard error combines the pass's sampling
+    error with the quantile's own confidence interval through first-order
+    propagation.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
 
-    def det_sqrts() -> np.ndarray:
-        dets = np.empty(reps)
-        done = 0
-        for G, _ in _gram_blocks(spec, gen, reps, with_z=False):
-            with _BLAS_LOCK:
-                sign, logdet = np.linalg.slogdet(G)
-            dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
-            done += len(G)
-        return dets
+    def mean_and_se() -> tuple:
+        dets = _det_sqrts(spec, gen, reps)
+        return float(dets.mean()), float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
 
-    pending = pool.submit(det_sqrts)
+    pending = pool.submit(mean_and_se)
 
     def finish(alpha: ScalingQuantile) -> VolumeFactor:
         d, m = spec.d, spec.m
         _check_key(alpha, d, m, spec.w)
-        dets = pending.result()
-        e_det = float(dets.mean())
-        se_det = float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        e_det, se_det = pending.result()
         cfac = _joint_constant(d, m) ** (d / 2.0)
         v = cfac * e_det * alpha.alpha_hat ** (d / 2.0)
         se_alpha = (alpha.ci_high - alpha.ci_low) / (2 * 1.96)

@@ -38,7 +38,6 @@ from sgdci.calibration import (
 )
 from sgdci.errors import DimensionMismatch
 from sgdci.experiments import run_volume_study
-from sgdci.inference import submit_volume_factor
 from sgdci.linalg import det_sqrt
 from sgdci.streams import derive_stream
 
@@ -49,11 +48,8 @@ def even_spec(d, m):
 
 def det_draws(spec, n, gen):
     """det(g)^{1/2} of each of the n draws of a volume factor's determinant
-    pass, which submit_volume_factor hands to its pool as one call."""
-    calls = []
-    submit_volume_factor(SimpleNamespace(submit=calls.append), spec, n, gen)
-    (det_pass,) = calls
-    return det_pass()
+    pass, which submit_volume_factor averages on its pool."""
+    return inference._det_sqrts(spec, gen, n)
 
 
 class CountingLock:
@@ -71,10 +67,25 @@ class CountingLock:
         self.held = False
 
 
-def finish_on_one_worker(*args):
-    """submit_alpha(pool, *args) and its finisher, on a one-worker pool."""
+def finish_on_one_worker(spec, *args):
+    """submit_alpha(pool, [spec], *args) and its finisher, on a one-worker pool."""
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return submit_alpha(pool, *args)()
+        (finish,) = submit_alpha(pool, [spec], *args)
+        return finish()
+
+
+def eval_chunks(cells, k, seed):
+    """_eval_chunk on stream (seed, k) for cells of (spec, n); one array of
+    statistics per cell."""
+    outs = [np.empty(n) for _, n in cells]
+    _eval_chunk([(spec, out) for (spec, _), out in zip(cells, outs)], k, seed,
+                derive_stream(seed, k))
+    return outs
+
+
+def eval_chunk(spec, n, k, seed):
+    (stats,) = eval_chunks([(spec, n)], k, seed)
+    return stats
 
 
 class TestSkeletonCovariance:
@@ -236,7 +247,7 @@ class TestEstimateAlpha:
             for d, m in ((1, 1000), (2, 500), (5, 200))
         ]
         for spec, n in cases:
-            chunk_stats = _eval_chunk(spec, n, 0, 555)
+            chunk_stats = eval_chunk(spec, n, 0, 555)
             stream = derive_stream(555, 0)
             serial = np.array([simulate_limit_draw(spec, stream) for _ in range(n)])
             assert np.allclose(chunk_stats, serial, rtol=1e-9, atol=1e-12), (spec.d, spec.m)
@@ -250,34 +261,37 @@ class TestEstimateAlpha:
         results = []
         for size in (64, 2**15, calibration._BLOCK_DOUBLES, 2**19):  # 64: 16-draw blocks
             monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", size)
-            results.append((_eval_chunk(spec, n, 2, 8), det_draws(spec, n, derive_stream(3))))
+            results.append((eval_chunk(spec, n, 2, 8), det_draws(spec, n, derive_stream(3))))
         for stats, dets in results[1:]:
             assert np.array_equal(stats, results[0][0])
             assert np.array_equal(dets, results[0][1])
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_singular_draw_is_rescued(self, d, monkeypatch):
-        # a zero G in the first block fails its batched solve; the zero G is
-        # solved against I and then replaced from the rescue stream, and every
-        # other draw keeps its clean value.
+        # a zero G in the first block of one cell fails its batched solve; the
+        # zero G is solved against I and then replaced from the rescue stream,
+        # and every other draw, of that cell and of the cells that share its
+        # stream, keeps its clean value.
         spec = even_spec(d, d + 9)
-        n, k, seed, bad = 300, 3, 8, 5
+        cells = [(even_spec(d, d + 30), 200), (spec, 300), (even_spec(d, d + 5), 40)]
+        k, seed, bad = 3, 8, 5
         monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
-        clean = _eval_chunk(spec, n, k, seed)
+        clean = eval_chunks(cells, k, seed)
         gram_blocks = calibration._gram_blocks
 
-        def zero_one_draw(*args, **kwargs):
-            for b, (G, Z) in enumerate(gram_blocks(*args, **kwargs)):
-                if b == 0:
+        def zero_one_draw(cell_spec, *args, **kwargs):
+            for b, (G, Z) in enumerate(gram_blocks(cell_spec, *args, **kwargs)):
+                if cell_spec is spec and b == 0:
                     G[bad] = 0.0
                 yield G, Z
 
         monkeypatch.setattr(calibration, "_gram_blocks", zero_one_draw)
-        stats = _eval_chunk(spec, n, k, seed)
+        before, stats, after = eval_chunks(cells, k, seed)
         assert np.all(np.isfinite(stats))
         assert stats[bad] == simulate_limit_draw(spec, derive_stream(seed, 2**32 + k))
-        others = np.arange(n) != bad
-        assert np.array_equal(stats[others], clean[others])
+        others = np.arange(len(stats)) != bad
+        assert np.array_equal(stats[others], clean[1][others])
+        assert np.array_equal(before, clean[0]) and np.array_equal(after, clean[2])
 
     @pytest.mark.parametrize("d, m", [(1, 10), (2, 40), (5, 10)])
     def test_every_block_takes_the_blas_lock(self, d, m, monkeypatch):
@@ -301,7 +315,7 @@ class TestEstimateAlpha:
         monkeypatch.setattr(np.linalg, "slogdet", spy(np.linalg.slogdet, lambda *_: "slogdet"))
         spec = even_spec(d, m)
         n = 2 * max(16, calibration._BLOCK_DOUBLES // (m * d + d)) + 5  # three blocks
-        _eval_chunk(spec, n, 0, 4)
+        eval_chunk(spec, n, 0, 4)
         assert calls == [("b1", False), ("gram", True), ("solve", True)] * 3
         assert (lock.entries, lock.held) == (6, False)
         calls.clear()
@@ -309,11 +323,45 @@ class TestEstimateAlpha:
         assert calls == [("b1", False), ("gram", True), ("slogdet", True)] * 3
         assert (lock.entries, lock.held) == (12, False)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_shared_pass_equals_one_spec_calls(self, threads, tmp_path):
+        # widths from 3 to 505 normals a draw; d = 5, m = 100 takes two chunks
+        # of 34,000 reps, the others one; a repeated spec out of order, and
+        # one spec already in the cache, which no chunk task reads
+        ibs = Allocation(kind="ibs", r=2.0 / 3.0)
+        specs = [LimitDrawSpec(5, m, tuple(ideal_weights(m, ibs))) for m in (10, 100, 20)]
+        specs += [specs[0], even_spec(2, 40), even_spec(1, 8)]
+        reps, seed = 34_000, 13
+        alone = [estimate_alpha(spec, 0.05, reps, seed, threads=1) for spec in specs]
+        cache = QuantileCache(tmp_path / "q.json")
+        cache.put(alone[2])
+        read = []
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            spy = SimpleNamespace(submit=lambda fn, cells, *args: read.append(
+                [spec for spec, _ in cells]) or pool.submit(fn, cells, *args))
+            shared = [finish() for finish in submit_alpha(spy, specs, 0.05, reps, seed, cache)]
+        assert shared == alone
+        assert read == [[specs[0], specs[1], specs[4], specs[5]], [specs[1]]]
+
     def test_chunk_memory_is_one_block(self):
         spec = even_spec(5, 100)
         tracemalloc.start()
         try:
-            _eval_chunk(spec, _chunk_size(spec), 0, 1)
+            eval_chunk(spec, _chunk_size(spec), 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_shared_chunk_memory_is_a_few_blocks(self):
+        # the four volume cells at d = 5 on one stream: one block buffer, a
+        # tape of two blocks and their statistics, however many cells read
+        ibs = Allocation(kind="ibs", r=2.0 / 3.0)
+        specs = [LimitDrawSpec(5, m, tuple(ideal_weights(m, ibs))) for m in (10, 20, 40, 100)]
+        cells = [(spec, min(34_000, _chunk_size(spec))) for spec in specs]
+        tracemalloc.start()
+        try:
+            eval_chunks(cells, 0, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

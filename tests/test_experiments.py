@@ -91,6 +91,15 @@ class TestRunCoverage:
         base.update(over)
         return CoverageConfig(**base)
 
+    @pytest.mark.parametrize("method", ["bm_joint", "bm_marginal"])
+    def test_too_few_cal_reps_raise_before_any_step(self, method, monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a chain stepped")
+
+        monkeypatch.setattr(sgd, "run_chains", no_stepping)
+        with pytest.raises(ValueError, match=f"reps must be >= {MIN_REPS}"):
+            run_coverage(self._cfg(method=method, cal_reps=MIN_REPS - 1))
+
     def test_deterministic_signature(self):
         a = run_coverage(self._cfg())
         b = run_coverage(self._cfg())
@@ -544,10 +553,14 @@ class TestVolumeStudy:
         monkeypatch.setattr(calibration, "_eval_chunk", lambda *args: drawn.append(args))
         monkeypatch.setattr(inference, "_gram_blocks",
                             lambda *args, **kwargs: drawn.append(args) or iter(()))
+        derived = []
+        for module in (calibration, experiments):
+            monkeypatch.setattr(module, "derive_streams",
+                                lambda *args: derived.append(args) or [])
         path = tmp_path / "q.json"
         with pytest.raises(ValueError):
             self._study(QuantileCache(path), **bad)
-        assert drawn == [] and not path.exists()
+        assert drawn == [] and derived == [] and not path.exists()
 
 
 class TestDetStudy:
@@ -605,6 +618,15 @@ class TestComparison:
         assert [type(r) for r in out] == [FailedCell] * len(METHODS)
         assert all(r.error == f"ValueError: delta must lie in (0, 1), got {delta}"
                    for r in out)
+
+    def test_too_few_cal_reps_fail_only_the_bm_cells(self):
+        out = run_comparison("linear", 2, 400, 10, Allocation(kind="ibs"), 0.05,
+                             replications=3, base_seed=0, cal_reps=MIN_REPS - 1)
+        message = f"ValueError: reps must be >= {MIN_REPS} for a meaningful tail quantile, got"
+        for r, method in zip(out, METHODS):
+            failed = method.startswith("bm_")
+            assert isinstance(r, FailedCell) == failed, method
+            assert not failed or r.error == f"{message} {MIN_REPS - 1}"
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         # cold caches and three calibration chunks per quantile, so the
