@@ -17,19 +17,21 @@ spec on a pool of its own, and the volume study
 (experiments.run_volume_study) submits it for all of its batch counts at
 once, then inference.submit_volume_factor for each. Every spec reads a
 prefix of the same streams, so the specs of one call share chunk k: one
-task draws stream (base_seed, k) once, onto a _Tape, and each spec reads
-its blocks from it (common random numbers across the specs, with the
-values each spec gets alone).
-Memory is bounded by blocks, not chunks: _gram_blocks walks a chunk, and the
-determinant pass of the volume factor, in blocks of about 512 KB of normals,
-reduced to their Gram matrices in place while a block and its centering
-temporary fit in a core's L2 cache. A chunk task holds one block buffer,
-shared by its specs, and a tape of two blocks; the statistics of each
-missed spec (reps doubles) are held from submission until its finisher.
-Each block's batched Gram matmul, solve and slogdet hold one process-wide
-lock, _BLAS_LOCK: OpenBLAS makes one small call per draw there, and two
-workers making them at once spent 3-5x the CPU of each call alone
-(BENCH_18.json). The normals, the centering and B(1) stay outside it, but
+task walks stream (base_seed, k) once (_walk), and each spec reads its
+draws from the walk's window (common random numbers across the specs, with
+the values each spec gets alone). The determinant pass of the volume
+factor, det_sqrt_draws, is a walk of its own stream with one reader, and
+_gram turns the draws of every walk into Gram matrices.
+Memory is bounded by windows, not chunks: a walk holds one window of about
+512 KB of normals, reduced to Gram matrices while a window and its
+centering temporary fit in a core's L2 cache. A lone reader forms its batch
+slopes over its window; a chunk task of several specs forms them in one
+slope buffer the window's size. The statistics of each missed spec (reps
+doubles) are held from submission until its finisher.
+The batched Gram matmul, solve and slogdet of each view a walk yields
+hold one process-wide lock, _BLAS_LOCK: OpenBLAS makes one small call per
+draw there, and two workers making them at once spent 3-5x the CPU of each
+call alone (BENCH_18.json). The normals, the centering and B(1) stay outside it, but
 the locked part of a draw (6% at (d, m) = (1, 100), 36% at (5, 10)) runs one
 worker at a time, which caps what more than two workers gain.
 The batched route forms every G by the same matmuls and every statistic as
@@ -60,7 +62,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
@@ -74,7 +76,7 @@ MIN_REPS = 10_000
 HEAVY_TAIL_GAP = 5
 _F_TOL = 1e-8
 _RESCUE_OFFSET = 1 << 32
-# Doubles of noise per block of _gram_blocks (512 KB), the peak memory of one
+# Doubles of noise per window of _walk (512 KB), the peak memory of one
 # worker: of the sizes 2^15..2^19 that ran fastest, the smallest (BENCH_11.json).
 _BLOCK_DOUBLES = 1 << 16
 # Version of the route from a stream to a statistic (draw layout, skeleton
@@ -201,99 +203,83 @@ def _chunk_size(spec: LimitDrawSpec) -> int:
     """Draws per chunk, the unit of stream and of thread.
 
     Chunk k of a calibration run consumes stream (base_seed, k), so these
-    values fix which draws a run makes; memory is bounded by _gram_blocks.
+    values fix which draws a run makes; memory is bounded by _walk's window.
     """
     return max(128, min(65536, (1 << 24) // max(1, spec.m * spec.d)))
 
 
-def _block_size(spec: LimitDrawSpec, n: int, with_z: bool) -> tuple:
-    """(rows, doubles) of one block of _gram_blocks over n draws of spec."""
-    width = spec.m * spec.d + (spec.d if with_z else 0)
-    rows = min(n, max(16, _BLOCK_DOUBLES // (spec.m * spec.d + spec.d)))
-    return rows, rows * width
+def _window_doubles(widths, counts) -> int:
+    """Doubles in _walk's window for readers of draws of widths normals,
+    counts draws each: up to max(_BLOCK_DOUBLES, 16 of the widest draws),
+    plus room for a carried tail shorter than one widest draw, and never
+    more than the longest prefix."""
+    widest = max(widths)
+    return min(max(w * n for w, n in zip(widths, counts)),
+               max(_BLOCK_DOUBLES, 16 * widest) + widest - 1)
 
 
-def _gram_blocks(spec: LimitDrawSpec, fill: Callable, n: int, with_z: bool,
-                 buf: Optional[np.ndarray] = None):
-    """Yield (G, Z) for n skeleton draws, in blocks of about 512 KB.
+def _walk(gen: np.random.Generator, widths, counts):
+    """Yield (i, draws) as gen's stream is drawn once for several readers.
 
-    fill(out=block) writes the next normals of the draws' stream into a
-    C-contiguous (rows, width) block: a generator's standard_normal, or a
-    read from a _Tape. Each draw takes m*d standard normals for the increments
-    (batch-major) and, if with_z, d more for Z; reading block by block
-    consumes exactly the normals of one (n, m*d [+ d]) call. G (b, d, d) is
-    g_of_skeleton of each draw, formed in place over the block's normals; Z
-    is None without with_z. Every block is read into buf (flat, at least
-    _block_size long; allocated when None), so a yielded Z is valid only
-    until the next block is read; G is the caller's to keep.
+    Reader i reads the stream's first counts[i] draws of widths[i] normals
+    each, so every reader reads a prefix of the same normals. The stream
+    is drawn into one window (_window_doubles) at a time, and after each
+    refill every reader with whole draws in it gets, in reader order, a
+    (k, widths[i]) view of them, valid until the next refill. A refill
+    moves the unread tail, from the earliest unfinished reader's position,
+    to the window's front and draws the rest, so the stream is consumed
+    exactly as one standard_normal call for the longest prefix would.
+    """
+    total = max(w * n for w, n in zip(widths, counts))
+    window = np.empty(_window_doubles(widths, counts))
+    done = [0] * len(widths)  # draws each reader has read
+    start = end = 0  # stream offsets of window[0] and of the next normal drawn
+    while end < total:
+        fresh = min(window.size - (end - start), total - end)
+        gen.standard_normal(out=window[end - start : end - start + fresh])
+        end += fresh
+        for i, (w, n) in enumerate(zip(widths, counts)):
+            k = min(n, end // w) - done[i]
+            if k > 0:
+                lo = done[i] * w - start
+                yield i, window[lo : lo + k * w].reshape(k, w)
+                done[i] += k
+        tail = min((r * w for r, w, n in zip(done, widths, counts) if r < n), default=end)
+        window[: end - tail] = window[tail - start : end - start]
+        start = tail
+
+
+def _gram(spec: LimitDrawSpec, draws: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """G (k, d, d), g_of_skeleton of each of the k draws in the rows of draws.
+
+    Each row leads with the draw's m*d increment normals, batch-major
+    (D_i / sqrt(w_i)); columns past them (Z) are not read. The batch slopes
+    are formed in out, a flat buffer of at least k*m*d doubles, or over
+    those normals when out is None, for a reader whose window no other
+    reader shares.
     """
     m, d = spec.m, spec.d
-    width = m * d + (d if with_z else 0)
-    rows, size = _block_size(spec, n, with_z)
+    raw = draws[:, : m * d]
     sqw = np.sqrt(np.asarray(spec.w))
-    sqw_flat = np.repeat(sqw, d)  # sqrt(w_i) at each of batch i's d normals
-    buf = np.empty(size) if buf is None else buf
-    for start in range(0, n, rows):
-        raw = buf[: min(rows, n - start) * width].reshape(-1, width)
-        fill(out=raw)
-        flat = raw[:, : m * d]
-        N = flat.reshape(-1, m, d)
-        b1 = np.matmul(sqw, N)  # B(1), the increments' sum
-        flat /= sqw_flat  # batch slopes D_i / w_i
-        flat -= np.tile(b1, (1, m))  # one m*d-long inner loop, not m of length d
-        with _BLAS_LOCK:
-            G = np.matmul(N.transpose(0, 2, 1), N)
-        G /= m - 1
-        yield G, (raw[:, m * d :] if with_z else None)
-
-
-class _Tape:
-    """One stream's normals, drawn once for several readers of its prefixes.
-
-    needs holds how many normals each reader takes, block is the largest
-    block one read asks for. Each reader reads its prefix block by block,
-    read(pos, out) filling out from stream offset pos, and the caller lets
-    the reader furthest behind read next, so no read starts before an
-    earlier one. The tape keeps the normals from the reader furthest behind to the
-    furthest one drawn, at most two blocks: a refill moves that unread tail
-    to the front and draws the rest of the window in one call. Normals past
-    every reader's prefix but one are drawn straight into that reader's
-    block, so a lone reader reads the stream as its generator would.
-    """
-
-    def __init__(self, gen: np.random.Generator, needs, block: int):
-        self.gen = gen
-        self.total = max(needs)
-        self.lone_from = sorted(needs)[-2] if len(needs) > 1 else 0
-        self.window = np.empty(2 * block if self.lone_from else 0)
-        self.start = self.end = 0  # stream offsets of window[0] and of the next draw
-
-    def read(self, pos: int, out: np.ndarray) -> None:
-        out = out.reshape(-1)  # a view: out is C-contiguous
-        n, lo = out.size, pos - self.start
-        if pos + n > self.end:
-            tail = self.end - pos
-            if pos >= self.lone_from:  # no other reader needs what follows
-                out[:tail] = self.window[lo : lo + tail]
-                self.gen.standard_normal(out=out[tail:])
-                self.start = self.end = pos + n
-                return
-            self.window[:tail] = self.window[lo : lo + tail]
-            fresh = min(self.window.size - tail, self.total - self.end)
-            self.gen.standard_normal(out=self.window[tail : tail + fresh])
-            self.start, self.end, lo = pos, self.end + fresh, 0
-        out[:] = self.window[lo : lo + n]
+    b1 = np.matmul(sqw, raw.reshape(-1, m, d))  # B(1), the increments' sum
+    flat = raw if out is None else out[: raw.size].reshape(raw.shape)
+    np.divide(raw, np.repeat(sqw, d), out=flat)  # batch slopes D_i / w_i
+    flat -= np.tile(b1, (1, m))  # one m*d-long inner loop, not m of length d
+    N = flat.reshape(-1, m, d)
+    with _BLAS_LOCK:
+        G = np.matmul(N.transpose(0, 2, 1), N)
+    G /= m - 1
+    return G
 
 
 def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generator) -> None:
     """Fill each cell's statistics from gen, the stream (base_seed, chunk_index).
 
     cells holds (spec, out) pairs: out receives the statistics of spec's
-    first len(out) draws on the stream, batched, each a prefix of the same
-    normals. They are drawn once, onto a _Tape, and every cell reads its
-    blocks from it into one block buffer, the cell furthest behind first;
-    each block is solved before the next is read. A lone cell's values are
-    those the stream gives it alone.
+    first len(out) draws of m*d + d normals on the stream, each cell a
+    prefix of the same normals, walked once (_walk). A lone cell forms its
+    batch slopes over its window; several cells share one slope buffer.
+    Each cell's values are those the stream gives it alone.
 
     An exactly singular G (probability zero) fails the block's solve; its
     draws are solved against I instead, so the block's other draws keep
@@ -301,17 +287,14 @@ def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generato
     cell's own rescue stream (base_seed, 2**32 + chunk_index).
     """
     widths = [spec.m * spec.d + spec.d for spec, _ in cells]
-    block = max(_block_size(spec, len(out), True)[1] for spec, out in cells)
-    tape = _Tape(gen, [len(out) * w for (_, out), w in zip(cells, widths)], block)
-    buf = np.empty(block)
-    done = [0] * len(cells)  # draws each cell has read: it is at done[i] * widths[i]
-    walks = [_gram_blocks(spec, lambda out, i=i: tape.read(done[i] * widths[i], out),
-                          len(stats), True, buf) for i, (spec, stats) in enumerate(cells)]
-    live = list(range(len(cells)))
-    while live:
-        i = min(live, key=lambda j: done[j] * widths[j])
+    counts = [len(out) for _, out in cells]
+    slopes = np.empty(_window_doubles(widths, counts)) if len(cells) > 1 else None
+    done = [0] * len(cells)
+    for i, draws in _walk(gen, widths, counts):
         spec, out = cells[i]
-        G, Z = next(walks[i])
+        G = _gram(spec, draws, slopes)
+        Z = draws[:, spec.m * spec.d :]
+        singular = None
         with _BLAS_LOCK:  # the rescue's det and solve run under the same hold
             try:
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
@@ -319,18 +302,32 @@ def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generato
                 singular = np.linalg.det(G) == 0.0
                 G[singular] = np.eye(spec.d)
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
-                Z[singular] = np.nan  # rescued below
-        stats = np.einsum("nd,nd->n", Z, sol) / _joint_constant(spec.d, spec.m)
-        out[done[i] : done[i] + len(G)] = stats
+        stats = out[done[i] : done[i] + len(G)]
+        stats[:] = np.einsum("nd,nd->n", Z, sol) / _joint_constant(spec.d, spec.m)
+        if singular is not None:
+            stats[singular] = np.nan  # rescued below
         done[i] += len(G)
-        if done[i] == len(out):
-            live.remove(i)
     for spec, out in cells:
         bad = np.nonzero(~np.isfinite(out))[0]
         if len(bad):
             rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
             for j in bad:
                 out[j] = simulate_limit_draw(spec, rescue)
+
+
+def det_sqrt_draws(spec: LimitDrawSpec, gen: np.random.Generator, reps: int) -> np.ndarray:
+    """det(g)^{1/2} of reps skeleton draws of m*d normals each from gen, 0
+    where det(g) <= 0: the determinant pass of a volume factor, one
+    reader's walk of gen's stream."""
+    dets = np.empty(reps)
+    done = 0
+    for _, draws in _walk(gen, [spec.m * spec.d], [reps]):
+        G = _gram(spec, draws, None)
+        with _BLAS_LOCK:
+            sign, logdet = np.linalg.slogdet(G)
+        dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
+        done += len(G)
+    return dets
 
 
 class QuantileCache:

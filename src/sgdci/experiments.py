@@ -231,8 +231,10 @@ def run_coverage(
     if they exceed one percent of replications. Marginal methods record the
     average coverage across the d coordinates of each replication. A
     diverging chain raises NonFiniteIterate. `threads` workers (None: every
-    usable CPU) fill the chains' input blocks and run a cold calibration.
+    usable CPU) fill the chains' input blocks and run a cold calibration; a
+    count below 1 raises before any stream is derived.
     """
+    _worker_count(threads)
     t0 = time.perf_counter()
     plan = _cell_plan(config)
     (summaries,) = _trajectory(config, [plan], threads)
@@ -394,8 +396,9 @@ def run_comparison(
     stepped once: one pass over R long chains batches them under the bm and
     the BMI plans, and one pass over the sections serves both sectioning
     cells. A divergence in a shared pass fails every cell that uses it.
-    `threads` is used as in run_coverage.
+    `threads` is used, and checked, as in run_coverage.
     """
+    _worker_count(threads)
     out, cells, plans = {}, {}, {}  # method -> result, method -> config, family -> plan
     for method in METHODS:
         try:

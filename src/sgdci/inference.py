@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .batching import BatchMeansSummary, _joint_constant, sample_cov, sample_sigma
-from .calibration import _BLAS_LOCK, LimitDrawSpec, ScalingQuantile, _gram_blocks, weights_key
+from .calibration import LimitDrawSpec, ScalingQuantile, det_sqrt_draws, weights_key
 from .errors import (
     BatchCountTooSmall,
     DegenerateCovariance,
@@ -159,18 +159,6 @@ def expected_volume_factor(
         return submit_volume_factor(pool, spec, reps, gen)(alpha)
 
 
-def _det_sqrts(spec: LimitDrawSpec, gen: np.random.Generator, reps: int) -> np.ndarray:
-    """det(g)^{1/2} of reps skeleton draws from gen, 0 where det(g) <= 0."""
-    dets = np.empty(reps)
-    done = 0
-    for G, _ in _gram_blocks(spec, gen.standard_normal, reps, with_z=False):
-        with _BLAS_LOCK:
-            sign, logdet = np.linalg.slogdet(G)
-        dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
-        done += len(G)
-    return dets
-
-
 def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
                          gen: np.random.Generator) -> Callable[[ScalingQuantile], VolumeFactor]:
     """Start the determinant pass on pool; returns a finisher alpha -> VolumeFactor.
@@ -186,7 +174,7 @@ def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
         raise ValueError(f"reps must be >= 1, got {reps}")
 
     def mean_and_se() -> tuple:
-        dets = _det_sqrts(spec, gen, reps)
+        dets = det_sqrt_draws(spec, gen, reps)
         return float(dets.mean()), float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
 
     pending = pool.submit(mean_and_se)

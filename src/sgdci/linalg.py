@@ -13,7 +13,8 @@ m <= d are singular by construction) is separated from harmless round-off.
 The degeneracy studies depend on that separation.
 
 The batched routes elsewhere (np.linalg.solve in calibration._eval_chunk,
-slogdet in the determinant pass of inference.submit_volume_factor) serve
+slogdet in calibration.det_sqrt_draws, the determinant pass that
+inference.submit_volume_factor starts) serve
 only limit laws with m > d, where a singular matrix has probability zero.
 A draw whose solve fails is redrawn through calibration.simulate_limit_draw,
 and so decided by this rule; slogdet maps a nonpositive sign to a zero

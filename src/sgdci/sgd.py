@@ -229,12 +229,14 @@ def replicate(oracle: GradientOracle, config: SgdRunConfig, plans, R: int, base_
     one run_chains pass, inputs filled on `threads` workers; its generators
     die with the pass. A divergence raises after every group has run, with
     the earliest step and, at that step, the lowest replication, as one
-    pass over all would. R < 1 reaches run_chains, which rejects it.
+    pass over all would.
     """
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
     tails = [()] if sections is None else [(j,) for j in range(sections)]
     group = _replication_group(len(tails), oracle.dim)
     parts, failures = [], []
-    for first in range(0, max(R, 1), group):
+    for first in range(0, R, group):
         paths = [(r, *tail) for r in range(first, min(R, first + group)) for tail in tails]
         try:
             parts.append(run_chains(oracle, config, derive_streams(base_seed, paths), plans,

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgdci import calibration, inference
+from sgdci import calibration
 from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
 from sgdci.calibration import (
     MIN_REPS,
@@ -49,7 +49,7 @@ def even_spec(d, m):
 def det_draws(spec, n, gen):
     """det(g)^{1/2} of each of the n draws of a volume factor's determinant
     pass, which submit_volume_factor averages on its pool."""
-    return inference._det_sqrts(spec, gen, n)
+    return calibration.det_sqrt_draws(spec, gen, n)
 
 
 class CountingLock:
@@ -187,6 +187,27 @@ class TestSimulateLimitDraw:
         assert abs(sq.alpha_hat - f_quantile(1, 1, 0.95)) < 3.0
 
 
+class TestWalk:
+    def test_each_reader_reads_its_prefix_of_one_stream(self, monkeypatch):
+        # 64-double blocks make windows of 16 of the widest draws (20,020
+        # normals); the readers end in the first, second, second and third
+        # window, and the 101-wide one reads the longest prefix
+        monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)
+        widths, counts = [3, 7, 101, 20_020], [40_000, 60_000, 7_000, 20]
+        gen = derive_stream(7)
+        views = [[] for _ in widths]
+        for i, draws in calibration._walk(gen, widths, counts):
+            assert draws.shape[1] == widths[i]
+            assert draws.size <= 16 * 20_020 + 20_019
+            views[i].append(draws.copy())
+        for w, n, read in zip(widths, counts, views):
+            assert np.array_equal(np.concatenate(read).ravel(),
+                                  derive_stream(7).standard_normal(n * w)), w
+        ref = derive_stream(7)
+        ref.standard_normal(101 * 7_000)
+        assert gen.standard_normal() == ref.standard_normal()
+
+
 class TestEstimateAlpha:
     def test_order_statistic_ci_ordering(self):
         sq = estimate_alpha(even_spec(1, 10), 0.05, 2 * 10**4, 42)
@@ -277,15 +298,16 @@ class TestEstimateAlpha:
         k, seed, bad = 3, 8, 5
         monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", 64)  # 16-draw blocks
         clean = eval_chunks(cells, k, seed)
-        gram_blocks = calibration._gram_blocks
+        gram, zeroed = calibration._gram, []
 
-        def zero_one_draw(cell_spec, *args, **kwargs):
-            for b, (G, Z) in enumerate(gram_blocks(cell_spec, *args, **kwargs)):
-                if cell_spec is spec and b == 0:
-                    G[bad] = 0.0
-                yield G, Z
+        def zero_one_draw(cell_spec, *args):
+            G = gram(cell_spec, *args)
+            if cell_spec is spec and not zeroed:
+                G[bad] = 0.0
+                zeroed.append(bad)
+            return G
 
-        monkeypatch.setattr(calibration, "_gram_blocks", zero_one_draw)
+        monkeypatch.setattr(calibration, "_gram", zero_one_draw)
         before, stats, after = eval_chunks(cells, k, seed)
         assert np.all(np.isfinite(stats))
         assert stats[bad] == simulate_limit_draw(spec, derive_stream(seed, 2**32 + k))
@@ -300,7 +322,6 @@ class TestEstimateAlpha:
         # lock, one entry each, and B(1)'s matmul runs outside it
         lock = CountingLock()
         monkeypatch.setattr(calibration, "_BLAS_LOCK", lock)
-        monkeypatch.setattr(inference, "_BLAS_LOCK", lock)
         calls = []
 
         def spy(fn, label):
@@ -319,6 +340,7 @@ class TestEstimateAlpha:
         assert calls == [("b1", False), ("gram", True), ("solve", True)] * 3
         assert (lock.entries, lock.held) == (6, False)
         calls.clear()
+        n = 2 * max(16, calibration._BLOCK_DOUBLES // (m * d)) + 5  # three, m*d wide
         det_draws(spec, n, derive_stream(4))
         assert calls == [("b1", False), ("gram", True), ("slogdet", True)] * 3
         assert (lock.entries, lock.held) == (12, False)
@@ -353,9 +375,19 @@ class TestEstimateAlpha:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_det_pass_memory_is_one_block(self):
+        spec = even_spec(5, 100)
+        tracemalloc.start()
+        try:
+            det_draws(spec, 34_000, derive_stream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_shared_chunk_memory_is_a_few_blocks(self):
-        # the four volume cells at d = 5 on one stream: one block buffer, a
-        # tape of two blocks and their statistics, however many cells read
+        # the four volume cells at d = 5 on one stream: one window, one
+        # slope buffer and their statistics, however many cells read
         ibs = Allocation(kind="ibs", r=2.0 / 3.0)
         specs = [LimitDrawSpec(5, m, tuple(ideal_weights(m, ibs))) for m in (10, 20, 40, 100)]
         cells = [(spec, min(34_000, _chunk_size(spec))) for spec in specs]

@@ -474,6 +474,27 @@ class TestSharedRules:
         with pytest.raises(ValueError, match="burn_in"):
             run_det_study(d=2, m=5, T=400, model="linear", R=3, base_seed=0, burn_in=-5)
 
+    @pytest.mark.parametrize("entry, message", [
+        (lambda: run_coverage(CoverageConfig(
+            model="linear", d=1, T=400, method="bm_marginal", m=8, alloc=Allocation(kind="ibs"),
+            replications=3, cal_reps=10000), threads=0), "threads"),
+        (lambda: run_comparison("linear", 1, 400, 8, Allocation(kind="ibs"), 0.05, 3, 0,
+                                cal_reps=10000, threads=0), "threads"),
+        (lambda: run_volume_study(1, [6], Allocation(kind="ibs"), 0.05, 10000, 0, threads=0),
+         "threads"),
+        (lambda: run_det_study(d=2, m=5, T=400, model="linear", R=0, base_seed=0), "R"),
+        (lambda: sgd.replicate(linear_oracle(linspace_params(1)), SgdRunConfig(T=10),
+                               [[0, 10]], 0, 0), "R"),
+    ], ids=["run_coverage", "run_comparison", "run_volume_study", "run_det_study", "replicate"])
+    def test_bad_count_raises_before_any_stream(self, entry, message, monkeypatch):
+        def no_streams(*args):
+            raise AssertionError(f"derive_streams{args} called")
+
+        for module in (sgd, experiments, calibration):
+            monkeypatch.setattr(module, "derive_streams", no_streams)
+        with pytest.raises(ValueError, match=f"^{message} must be >= 1, got 0$"):
+            entry()
+
 
 class TestVolumeStudy:
     def test_rows_and_determinism(self):
@@ -551,8 +572,8 @@ class TestVolumeStudy:
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", lambda max_workers: SimpleNamespace(
             submit=lambda fn, *args: fn(*args), shutdown=lambda cancel_futures: None))
         monkeypatch.setattr(calibration, "_eval_chunk", lambda *args: drawn.append(args))
-        monkeypatch.setattr(inference, "_gram_blocks",
-                            lambda *args, **kwargs: drawn.append(args) or iter(()))
+        monkeypatch.setattr(inference, "det_sqrt_draws",
+                            lambda spec, gen, reps: drawn.append(spec) or np.zeros(reps))
         derived = []
         for module in (calibration, experiments):
             monkeypatch.setattr(module, "derive_streams",
