@@ -2,10 +2,11 @@
 
 A plan fixes integer boundaries 0 = tau_0 < tau_1 < ... < tau_m = T; batch i
 covers iterates tau_{i-1}+1 .. tau_i. Boundaries come from rounding the
-cumulative weight curve of the chosen allocation, with collisions repaired
-by shifting forward one step and the last boundary pinned to T, so the
-partition is always exact (per-batch ceilings can overshoot T; cumulative
-rounding cannot).
+cumulative weight curve of the chosen allocation, with the last boundary
+pinned to T and every other one clamped between its left neighbour plus one
+and T minus the batches still to its right, so the partition is always
+exact and, whenever T >= m, every batch holds at least one iterate
+(per-batch ceilings can overshoot T; cumulative rounding cannot).
 
 Allocations
 -----------
@@ -32,7 +33,7 @@ from .errors import (
     InvalidBatchCount,
     NotPositiveDefinite,
 )
-from .linalg import SymMatrix, quad_form_inv
+from .linalg import CholFactor, SymMatrix, cholesky
 
 ALLOCATION_KINDS = ("ibs", "es", "dbs", "custom")
 
@@ -74,58 +75,49 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
-def ideal_weights(m: int, alloc: Allocation) -> np.ndarray:
-    """Continuum weights of an allocation, before integer rounding.
-
-    These are the weights the limiting law is calibrated at when no
-    concrete T is in play (batch-count studies, volume factors).
-    """
+def _curve(m: int, alloc: Allocation) -> np.ndarray:
+    """Cumulative weights c_0 = 0 .. c_m = 1 of an allocation over m batches."""
     if m < 2:
         raise InvalidBatchCount(f"batch count m must be >= 2, got {m}")
-    if alloc.kind == "es":
-        return np.full(m, 1.0 / m)
-    if alloc.kind in ("ibs", "dbs"):
-        i = np.arange(m + 1, dtype=float)
-        w = np.diff((i / m) ** (1.0 / (1.0 - alloc.r)))
-        return w[::-1].copy() if alloc.kind == "dbs" else w
-    w = np.asarray(alloc.custom_weights, dtype=float)
-    if len(w) != m:
-        raise DimensionMismatch(
-            f"custom allocation has {len(w)} weights for m={m} batches"
-        )
-    return w / w.sum()
-
-
-def make_plan(T: int, m: int, alloc: Allocation) -> BatchPlan:
-    """Integer boundaries for the requested allocation over 1..T."""
-    if m < 2:
-        raise InvalidBatchCount(f"batch count m must be >= 2, got {m}")
-    if T < m:
-        raise BatchTooSmall(f"T={T} cannot host {m} nonempty batches")
-    i = np.arange(m + 1, dtype=float)
-    if alloc.kind == "es":
-        cum = i / m
-    elif alloc.kind in ("ibs", "dbs"):
-        cum = (i / m) ** (1.0 / (1.0 - alloc.r))
-    else:
+    if alloc.kind == "custom":
         w = np.asarray(alloc.custom_weights, dtype=float)
         if len(w) != m:
             raise DimensionMismatch(
                 f"custom allocation has {len(w)} weights for m={m} batches"
             )
-        cum = np.concatenate([[0.0], np.cumsum(w / w.sum())])
+        return np.concatenate([[0.0], np.cumsum(w / w.sum())])
+    i = np.arange(m + 1, dtype=float)
+    return i / m if alloc.kind == "es" else (i / m) ** (1.0 / (1.0 - alloc.r))
+
+
+def ideal_weights(m: int, alloc: Allocation) -> np.ndarray:
+    """Continuum weights of an allocation, before integer rounding.
+
+    These are the weights the limiting law is calibrated at when no
+    concrete T is in play (batch-count studies, volume factors). Even and
+    custom weights are 1/m and w / sum(w) as they stand, not differences
+    of the curve.
+    """
+    cum = _curve(m, alloc)
+    if alloc.kind == "es":
+        return np.full(m, 1.0 / m)
+    if alloc.kind == "custom":
+        w = np.asarray(alloc.custom_weights, dtype=float)
+        return w / w.sum()
+    w = np.diff(cum)
+    return w[::-1].copy() if alloc.kind == "dbs" else w
+
+
+def make_plan(T: int, m: int, alloc: Allocation) -> BatchPlan:
+    """Integer boundaries for the requested allocation over 1..T."""
+    cum = _curve(m, alloc)
+    if T < m:
+        raise BatchTooSmall(f"T={T} cannot host {m} nonempty batches")
     tau = _round_half_up(cum * T)
-    tau[0] = 0
+    tau[0], tau[m] = 0, T
     for k in range(1, m):
-        if tau[k] <= tau[k - 1]:
-            tau[k] = tau[k - 1] + 1
-    tau[m] = T
+        tau[k] = min(max(tau[k], tau[k - 1] + 1), T - (m - k))
     sizes = np.diff(tau)
-    if np.any(sizes < 1):
-        raise BatchTooSmall(
-            f"allocation produced an empty batch at T={T}, m={m} "
-            f"(sizes {sizes.tolist()})"
-        )
     if alloc.kind == "dbs":
         sizes = sizes[::-1].copy()
         tau = np.concatenate([[0], np.cumsum(sizes)])
@@ -215,25 +207,42 @@ def sample_sigma(summary: BatchMeansSummary) -> np.ndarray:
     return np.sqrt((dev * dev).sum(axis=0) / (summary.plan.m - 1))
 
 
-def _joint_constant(d: int, m: int) -> float:
+def joint_constant(d: int, m: int) -> float:
     """d(m-1)/(m(m-d)), the factor between alpha and the joint region's scale."""
     return d * (m - 1) / (m * (m - d))
 
 
-def gamma_statistic(summary: BatchMeansSummary, x_ref) -> float:
-    """m(m-d)/(d(m-1)) * (X_bar - x_ref)^T S_m^{-1} (X_bar - x_ref)."""
-    x_ref = np.asarray(x_ref, dtype=float)
-    d, m = summary.d, summary.plan.m
-    if x_ref.shape != (d,):
-        raise DimensionMismatch(f"x_ref shape {x_ref.shape}, expected ({d},)")
+def check_joint(d: int, m: int) -> None:
+    """The one rule for a joint statistic: m > d batches for d coordinates."""
     if m <= d:
         raise BatchCountTooSmall(
             f"joint statistic needs m > d; got m={m}, d={d} "
             "(covariance is degenerate with probability one)"
         )
+
+
+def factored_cov(summary: BatchMeansSummary) -> tuple[SymMatrix, CholFactor]:
+    """S_m(T) with its Cholesky factor, decided once by linalg's rule.
+
+    Raises DegenerateCovariance when S_m(T) is not positive definite.
+    """
     S = sample_cov(summary)
     try:
-        quad = quad_form_inv(S, summary.xbar - x_ref)
+        return S, cholesky(S)
     except NotPositiveDefinite as e:
         raise DegenerateCovariance(str(e)) from e
-    return quad / _joint_constant(d, m)
+
+
+def gamma_statistic(summary: BatchMeansSummary, x_ref) -> float:
+    """m(m-d)/(d(m-1)) * (X_bar - x_ref)^T S_m^{-1} (X_bar - x_ref).
+
+    Checks x_ref's shape and m > d (check_joint), then factors S_m(T) once
+    (factored_cov).
+    """
+    x_ref = np.asarray(x_ref, dtype=float)
+    d, m = summary.d, summary.plan.m
+    if x_ref.shape != (d,):
+        raise DimensionMismatch(f"x_ref shape {x_ref.shape}, expected ({d},)")
+    check_joint(d, m)
+    _, factor = factored_cov(summary)
+    return factor.quad_form(summary.xbar - x_ref) / joint_constant(d, m)

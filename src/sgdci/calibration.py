@@ -35,7 +35,7 @@ call alone (BENCH_18.json). The normals, the centering and B(1) stay outside it,
 the locked part of a draw (6% at (d, m) = (1, 100), 36% at (5, 10)) runs one
 worker at a time, which caps what more than two workers gain.
 The batched route forms every G by the same matmuls and every statistic as
-Z^T G^{-1} Z / batching._joint_constant(d, m), the divisor gamma_statistic
+Z^T G^{-1} Z / batching.joint_constant(d, m), the divisor gamma_statistic
 uses, at every d. The per-draw route (simulate_limit_draw) decides through
 linalg's one positive-definiteness rule; it redraws the probability-zero
 singular draws of the batched route and is the reference that route is
@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
 
-from .batching import _joint_constant
+from .batching import check_joint, joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
 from .streams import _worker_count, derive_stream, derive_streams
@@ -98,10 +98,7 @@ class LimitDrawSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.m <= self.d:
-            raise ValueError(
-                f"batch count must exceed dimension, got m={self.m}, d={self.d}"
-            )
+        check_joint(self.d, self.m)
         w = np.asarray(self.w, dtype=float)
         if len(w) != self.m:
             raise DimensionMismatch(f"{len(w)} weights for m={self.m}")
@@ -191,7 +188,7 @@ def simulate_limit_draw(spec: LimitDrawSpec, gen: np.random.Generator) -> float:
         D, Z = _draw_skeleton_raw(spec, gen)
         g = g_of_skeleton(D, spec.w)
         try:
-            return quad_form_inv(g, Z) / _joint_constant(spec.d, spec.m)
+            return quad_form_inv(g, Z) / joint_constant(spec.d, spec.m)
         except NotPositiveDefinite:
             continue
     raise DegenerateDraw(
@@ -303,7 +300,7 @@ def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generato
                 G[singular] = np.eye(spec.d)
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
         stats = out[done[i] : done[i] + len(G)]
-        stats[:] = np.einsum("nd,nd->n", Z, sol) / _joint_constant(spec.d, spec.m)
+        stats[:] = np.einsum("nd,nd->n", Z, sol) / joint_constant(spec.d, spec.m)
         if singular is not None:
             stats[singular] = np.nan  # rescued below
         done[i] += len(G)

@@ -26,9 +26,11 @@ class FeedCountMismatch(SgdciError):
     """An accumulator received a different number of iterates than planned."""
 
 
-class BatchCountTooSmall(SgdciError):
+class BatchCountTooSmall(SgdciError, ValueError):
     """Joint inference requested with m <= d, where the batch-means
-    covariance is degenerate with probability one."""
+    covariance is degenerate with probability one (batching.check_joint).
+
+    A ValueError as well, like every other argument rule of the package."""
 
 
 class DegenerateCovariance(SgdciError):

@@ -33,6 +33,7 @@ from .batching import (
     Allocation,
     BatchMeansSummary,
     BatchPlan,
+    check_joint,
     ideal_weights,
     make_plan,
     sample_cov,
@@ -51,8 +52,8 @@ from .calibration import (
 )
 from .errors import DegenerateCovariance, ExcessDegeneracy, SgdciError
 from .inference import VolumeFactor, build_region, marginal_intervals, submit_volume_factor
-from .linalg import SymMatrix, det_sqrt, quad_form_inv
-from .models import ORACLES, linspace_params
+from .linalg import SymMatrix, det_sqrt
+from .models import linspace_params, oracle_factory
 from .sgd import SgdRunConfig, StepSchedule, replicate
 from .streams import _worker_count, derive_streams
 
@@ -87,8 +88,7 @@ class CoverageConfig:
     cal_seed: int = DEFAULT_CAL_SEED
 
     def __post_init__(self):
-        if self.model not in ORACLES:
-            raise ValueError(f"unknown model {self.model!r}")
+        oracle_factory(self.model)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_delta(self.delta)
@@ -96,10 +96,8 @@ class CoverageConfig:
             check_reps(self.cal_reps)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.method in ("bm_joint", "sectioning_joint") and self.m <= self.d:
-            raise ValueError(
-                f"{self.method} needs m > d, got m={self.m}, d={self.d}"
-            )
+        if self.method in ("bm_joint", "sectioning_joint"):
+            check_joint(self.d, self.m)
 
 
 @dataclass
@@ -147,7 +145,7 @@ def _trajectory(cfg: CoverageConfig, plans, threads: Optional[int] = None) -> li
     sgd.replicate, which fills each pass's input blocks on `threads` workers.
     """
     R, d = cfg.replications, cfg.d
-    oracle = ORACLES[cfg.model](linspace_params(d))
+    oracle = oracle_factory(cfg.model)(linspace_params(d))
     if cfg.method.startswith("sectioning"):
         return [section_summaries(oracle, plan, cfg.schedule, cfg.burn_in, R, cfg.base_seed,
                                   threads=threads) for plan in plans]
@@ -184,7 +182,7 @@ def _score(cfg: CoverageConfig, plan: BatchPlan, summaries, cache, threads,
             lo, hi = (b.joint_lo, b.joint_hi) if joint else (b.marginal_lo, b.marginal_hi)
         elif joint:
             region = build_region(s, alpha)
-            quad = quad_form_inv(region.shape, region.center - x_star)
+            quad = region.factor.quad_form(region.center - x_star)
             return bool(quad <= region.scale), quad
         else:
             iv = marginal_intervals(s, alpha)
@@ -283,11 +281,7 @@ def run_volume_study(
     det_n = det_reps if det_reps is not None else reps
     if det_n < 1:
         raise ValueError(f"det_reps must be >= 1, got {det_n}")
-    specs = []
-    for m in m_list:
-        if m <= d:
-            raise ValueError(f"volume study needs m > d, got m={m}, d={d}")
-        specs.append(LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation))))
+    specs = [LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation))) for m in m_list]
     cells = sorted({s.m: s for s in specs}.values(), key=lambda s: -s.m)
     rows = {}
     pool = ThreadPoolExecutor(max_workers=_worker_count(threads))
@@ -323,10 +317,10 @@ def run_det_study(
     dimensions the covariance has rank at most m - 1 and the determinant
     collapses, which is the phenomenon being measured.
     """
+    oracle = oracle_factory(model)(linspace_params(d))
     plan = make_plan(T, m, alloc or Allocation(kind="ibs"))
     config = SgdRunConfig(T=T, burn_in=burn_in, schedule=schedule or StepSchedule())
-    ((xi, xbar),) = replicate(ORACLES[model](linspace_params(d)), config,
-                               [plan.boundaries], R, base_seed)
+    ((xi, xbar),) = replicate(oracle, config, [plan.boundaries], R, base_seed)
     covs = [sample_cov(BatchMeansSummary(plan=plan, xi=xi[:, r], xbar=xbar[r], d=d))
             for r in range(R)]
     return np.array([det_sqrt(SymMatrix(float(T) * c.entries)) ** 2 for c in covs])

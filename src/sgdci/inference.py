@@ -23,16 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .batching import BatchMeansSummary, _joint_constant, sample_cov, sample_sigma
+from .batching import BatchMeansSummary, check_joint, factored_cov, joint_constant, sample_sigma
 from .calibration import LimitDrawSpec, ScalingQuantile, det_sqrt_draws, weights_key
-from .errors import (
-    BatchCountTooSmall,
-    DegenerateCovariance,
-    DimensionMismatch,
-    KeyMismatch,
-    NotPositiveDefinite,
-)
-from .linalg import SymMatrix, cholesky, det_sqrt, quad_form_inv
+from .errors import BatchCountTooSmall, DimensionMismatch, KeyMismatch
+from .linalg import CholFactor, SymMatrix
 
 
 def unit_ball_volume(d: int) -> float:
@@ -44,6 +38,7 @@ def unit_ball_volume(d: int) -> float:
 class ConfidenceRegion:
     center: np.ndarray
     shape: SymMatrix
+    factor: CholFactor  # shape's Cholesky factor, decided once by build_region
     scale: float
     m: int
     T: int
@@ -70,20 +65,21 @@ def _check_key(alpha: ScalingQuantile, d: int, m: int, w) -> None:
 
 
 def build_region(summary: BatchMeansSummary, alpha: ScalingQuantile) -> ConfidenceRegion:
-    """Assemble the joint region for a finished run."""
+    """Assemble the joint region for a finished run.
+
+    Checks m > d (batching.check_joint) and alpha's key, then factors S_m(T)
+    once (batching.factored_cov, DegenerateCovariance when it is not
+    positive definite) and keeps the factor for contains and region_volume.
+    """
     d, m = summary.d, summary.plan.m
-    if m <= d:
-        raise BatchCountTooSmall(f"joint region needs m > d; got m={m}, d={d}")
+    check_joint(d, m)
     _check_key(alpha, d, m, summary.plan.weights)
-    S = sample_cov(summary)
-    try:
-        cholesky(S)
-    except NotPositiveDefinite as e:
-        raise DegenerateCovariance(str(e)) from e
+    S, factor = factored_cov(summary)
     return ConfidenceRegion(
         center=summary.xbar.copy(),
         shape=S,
-        scale=_joint_constant(d, m) * alpha.alpha_hat,
+        factor=factor,
+        scale=joint_constant(d, m) * alpha.alpha_hat,
         m=m,
         T=summary.plan.T,
         delta=alpha.delta,
@@ -92,19 +88,22 @@ def build_region(summary: BatchMeansSummary, alpha: ScalingQuantile) -> Confiden
 
 
 def contains(region: ConfidenceRegion, x) -> bool:
-    """Closed-region membership test."""
+    """Closed-region membership test, through the region's stored factor."""
     x = np.asarray(x, dtype=float)
     if x.shape != region.center.shape:
         raise DimensionMismatch(
             f"point shape {x.shape}, region dimension {region.center.shape}"
         )
-    return quad_form_inv(region.shape, region.center - x) <= region.scale
+    return region.factor.quad_form(region.center - x) <= region.scale
 
 
 def region_volume(region: ConfidenceRegion) -> float:
-    """Lebesgue volume scale^{d/2} * det(S)^{1/2} * q_d; interval length at d=1."""
+    """Lebesgue volume scale^{d/2} * det(S)^{1/2} * q_d; interval length at d=1.
+
+    det(S)^{1/2} comes from the region's stored factor.
+    """
     d = region.center.shape[0]
-    return region.scale ** (d / 2.0) * det_sqrt(region.shape) * unit_ball_volume(d)
+    return region.scale ** (d / 2.0) * region.factor.det_sqrt() * unit_ball_volume(d)
 
 
 def marginal_intervals(
@@ -183,7 +182,7 @@ def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
         d, m = spec.d, spec.m
         _check_key(alpha, d, m, spec.w)
         e_det, se_det = pending.result()
-        cfac = _joint_constant(d, m) ** (d / 2.0)
+        cfac = joint_constant(d, m) ** (d / 2.0)
         v = cfac * e_det * alpha.alpha_hat ** (d / 2.0)
         se_alpha = (alpha.ci_high - alpha.ci_low) / (2 * 1.96)
         rel = 0.0

@@ -10,7 +10,10 @@ which makes the rule rank-revealing: a singular matrix concentrates its
 null directions in the trailing pivots instead of smearing them across
 several columns, so genuine rank deficiency (batch-means covariances with
 m <= d are singular by construction) is separated from harmless round-off.
-The degeneracy studies depend on that separation.
+The degeneracy studies depend on that separation. A CholFactor answers
+the quadratic form and det^{1/2} itself, so a caller that keeps one (a
+confidence region keeps its covariance's) never factors the matrix again;
+quad_form_inv and det_sqrt factor afresh.
 
 The batched routes elsewhere (np.linalg.solve in calibration._eval_chunk,
 slogdet in calibration.det_sqrt_draws, the determinant pass that
@@ -71,6 +74,26 @@ class CholFactor:
     lower: np.ndarray
     perm: np.ndarray
 
+    def quad_form(self, v) -> float:
+        """v^T S^{-1} v = ||L^{-1} v[perm]||^2, one triangular solve."""
+        # imported here: scipy.linalg adds about 0.1 s to every CLI start
+        from scipy.linalg.lapack import dtrtrs
+
+        v = _vector(v, len(self.perm))
+        y, _ = dtrtrs(self.lower, v[self.perm], lower=1)
+        return float(y @ y)
+
+    def det_sqrt(self) -> float:
+        """det(S)^{1/2}, the product of the diagonal."""
+        return float(np.prod(np.diag(self.lower)))
+
+
+def _vector(v, dim: int) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.shape[0] != dim:
+        raise DimensionMismatch(f"vector of length {v.shape} against matrix of dim {dim}")
+    return v
+
 
 def cholesky(S: SymMatrix) -> CholFactor:
     """Factor S with diagonal pivoting, failing on any pivot <= tolerance.
@@ -96,18 +119,9 @@ def cholesky(S: SymMatrix) -> CholFactor:
 
 
 def quad_form_inv(S: SymMatrix, v) -> float:
-    """Return v^T S^{-1} v = ||L^{-1} v[perm]||^2, one triangular solve."""
-    # imported here: scipy.linalg adds about 0.1 s to every CLI start
-    from scipy.linalg.lapack import dtrtrs
-
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] != S.dim:
-        raise DimensionMismatch(
-            f"vector of length {v.shape} against matrix of dim {S.dim}"
-        )
-    f = cholesky(S)
-    y, _ = dtrtrs(f.lower, v[f.perm], lower=1)
-    return float(y @ y)
+    """Return v^T S^{-1} v through a fresh factor of S (CholFactor.quad_form)."""
+    v = _vector(v, S.dim)
+    return cholesky(S).quad_form(v)
 
 
 def det_sqrt(S: SymMatrix) -> float:
@@ -117,7 +131,7 @@ def det_sqrt(S: SymMatrix) -> float:
     covariances through here on purpose.
     """
     try:
-        L = cholesky(S).lower
+        f = cholesky(S)
     except NotPositiveDefinite:
         return 0.0
-    return float(np.prod(np.diag(L)))
+    return f.det_sqrt()

@@ -98,6 +98,13 @@ def logistic_oracle(params: TrueParams) -> GradientOracle:
 ORACLES = {"linear": linear_oracle, "logistic": logistic_oracle}
 
 
+def oracle_factory(model: str):
+    """The one model rule: ORACLES[model], or ValueError for an unknown name."""
+    if model not in ORACLES:
+        raise ValueError(f"unknown model {model!r}")
+    return ORACLES[model]
+
+
 def _replay_oracle(rows: np.ndarray, model_kind: str) -> GradientOracle:
     """Rows in order, to the first generator that draws; a second one raises
     ValueError, since one cursor cannot feed two chains."""
@@ -206,8 +213,7 @@ def ingest_csv(path, model_kind: str):
     fully accept, is walked row by row, which gives the same values and
     decides every error.
     """
-    if model_kind not in ORACLES:
-        raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
+    oracle_factory(model_kind)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
         reader = csv.reader(fh)
         try:

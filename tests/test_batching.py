@@ -112,6 +112,31 @@ class TestMakePlan:
         with pytest.raises(BatchTooSmall):
             make_plan(3, 4, Allocation(kind="es"))
 
+    @pytest.mark.parametrize("T, sizes", [(50, [1, 1, 1, 46, 1]), (5, [1, 1, 1, 1, 1])])
+    def test_heavy_inner_weight_leaves_no_empty_batch(self, T, sizes):
+        # rounding puts tau_4 on T; the last batch keeps one step of it
+        alloc = Allocation(kind="custom", custom_weights=(1, 1, 1, 100, 1))
+        assert make_plan(T, 5, alloc).sizes.tolist() == sizes
+
+    @pytest.mark.parametrize("alloc", [
+        Allocation(kind="es"),
+        Allocation(kind="ibs", r=0.95),
+        Allocation(kind="dbs", r=0.95),
+        "heavy first", "heavy middle", "heavy last",
+    ])
+    def test_every_batch_holds_an_iterate(self, alloc):
+        for m in range(2, 30):
+            if isinstance(alloc, str):
+                w = [1.0] * m
+                w[{"heavy first": 0, "heavy middle": m // 2, "heavy last": -1}[alloc]] = 1e3 * m
+                alloc_m = Allocation(kind="custom", custom_weights=tuple(w))
+            else:
+                alloc_m = alloc
+            for T in sorted({m, m + 1, 2 * m - 1, 3 * m + 1, 100, 1001}):
+                if T >= m:
+                    p = make_plan(T, m, alloc_m)
+                    assert int(p.sizes.min()) >= 1 and int(p.sizes.sum()) == T, (m, T)
+
     def test_custom_weight_count_checked(self):
         with pytest.raises(DimensionMismatch):
             make_plan(100, 3, Allocation(kind="custom", custom_weights=(1.0, 1.0)))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from sgdci import calibration
-from sgdci.batching import Allocation, _joint_constant, ideal_weights, make_plan
+from sgdci.batching import Allocation, ideal_weights, joint_constant, make_plan
 from sgdci.calibration import (
     MIN_REPS,
     LimitDrawSpec,
@@ -158,7 +158,7 @@ class TestLimitDrawSpec:
             LimitDrawSpec(3, 3, (1 / 3, 1 / 3, 1 / 3))
 
     def test_factor(self):
-        assert 1 / _joint_constant(1, 2) == 2.0
+        assert 1 / joint_constant(1, 2) == 2.0
 
     def test_spec_from_plan(self):
         plan = make_plan(800, 2, Allocation(kind="ibs", r=2.0 / 3.0))

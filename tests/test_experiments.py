@@ -7,17 +7,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgdci import calibration, experiments, inference, sgd
+from sgdci import baselines, batching, calibration, experiments, inference, linalg, sgd, streams
 from sgdci.baselines import bmi_infer, sectioning_infer
-from sgdci.batching import Allocation, accumulate, ideal_weights, make_plan
+from sgdci.batching import (
+    Allocation,
+    BatchMeansSummary,
+    accumulate,
+    gamma_statistic,
+    ideal_weights,
+    make_plan,
+    summary_from_path,
+)
 from sgdci.calibration import (
     MIN_REPS,
     LimitDrawSpec,
     QuantileCache,
+    ScalingQuantile,
     estimate_alpha,
     spec_from_plan,
+    weights_key,
 )
-from sgdci.errors import NonFiniteIterate, SgdciError
+from sgdci.errors import BatchCountTooSmall, NonFiniteIterate, SgdciError
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
     METHODS,
@@ -31,7 +41,13 @@ from sgdci.experiments import (
     write_det_csv,
     write_volume_csv,
 )
-from sgdci.inference import build_region, contains, expected_volume_factor, marginal_intervals
+from sgdci.inference import (
+    build_region,
+    contains,
+    expected_volume_factor,
+    marginal_intervals,
+    region_volume,
+)
 from sgdci.linalg import quad_form_inv
 from sgdci.models import linear_oracle, linspace_params, logistic_oracle
 from sgdci.sgd import SgdRunConfig, StepSchedule, run_chains, run_sgd
@@ -438,8 +454,36 @@ class TestSharedTrajectories:
                 assert a.signature() == b.signature()
 
 
+def _joint_rule(m, d):
+    """The one message of the m > d rule."""
+    return (f"joint statistic needs m > d; got m={m}, d={d} "
+            "(covariance is degenerate with probability one)")
+
+
+def _quantile(d, plan, alpha=2.0):
+    """A ScalingQuantile carrying a chosen value under plan's key."""
+    return ScalingQuantile(alpha, alpha, alpha, 0.05, MIN_REPS,
+                           (d, plan.m, weights_key(plan.weights), 0.05, MIN_REPS, 0))
+
+
+def _few_batches():
+    """A summary of m = 3 even batches of d = 4 coordinates."""
+    xi = np.arange(12.0).reshape(3, 4) ** 2
+    return BatchMeansSummary(plan=make_plan(300, 3, Allocation(kind="es")), xi=xi,
+                             xbar=xi.mean(axis=0), d=4)
+
+
 class TestSharedRules:
     """The replicated studies and the single-run API reject the same inputs."""
+
+    @pytest.fixture
+    def no_streams(self, monkeypatch):
+        """Every way to derive a stream fails the test."""
+        def no_streams(*args):
+            raise AssertionError(f"derive_streams{args} called")
+
+        for module in (streams, sgd, experiments, calibration):
+            monkeypatch.setattr(module, "derive_streams", no_streams)
 
     def _coverage(self, **over):
         base = dict(model="linear", d=1, T=400, method="bm_marginal", m=8,
@@ -486,14 +530,57 @@ class TestSharedRules:
         (lambda: sgd.replicate(linear_oracle(linspace_params(1)), SgdRunConfig(T=10),
                                [[0, 10]], 0, 0), "R"),
     ], ids=["run_coverage", "run_comparison", "run_volume_study", "run_det_study", "replicate"])
-    def test_bad_count_raises_before_any_stream(self, entry, message, monkeypatch):
-        def no_streams(*args):
-            raise AssertionError(f"derive_streams{args} called")
-
-        for module in (sgd, experiments, calibration):
-            monkeypatch.setattr(module, "derive_streams", no_streams)
+    def test_bad_count_raises_before_any_stream(self, entry, message, no_streams):
         with pytest.raises(ValueError, match=f"^{message} must be >= 1, got 0$"):
             entry()
+
+    @pytest.mark.parametrize("entry", [
+        lambda: LimitDrawSpec(4, 3, (1 / 3,) * 3),
+        lambda: estimate_alpha(spec_from_plan(_few_batches().plan, 4), 0.05, MIN_REPS, 0),
+        lambda: run_volume_study(4, [3], Allocation(kind="es"), 0.05, MIN_REPS, 0),
+        lambda: run_coverage(CoverageConfig(
+            model="linear", d=4, T=300, method="bm_joint", m=3, alloc=Allocation(kind="es"),
+            replications=3, cal_reps=MIN_REPS)),
+        lambda: run_coverage(CoverageConfig(
+            model="linear", d=4, T=300, method="sectioning_joint", m=3,
+            alloc=Allocation(kind="es"), replications=3, cal_reps=MIN_REPS)),
+        lambda: build_region(_few_batches(), _quantile(4, _few_batches().plan)),
+        lambda: gamma_statistic(_few_batches(), np.zeros(4)),
+    ], ids=["LimitDrawSpec", "estimate_alpha", "run_volume_study", "bm_joint",
+            "sectioning_joint", "build_region", "gamma_statistic"])
+    def test_m_rule_raises_before_any_stream(self, entry, no_streams):
+        with pytest.raises(BatchCountTooSmall) as e:
+            entry()
+        assert str(e.value) == _joint_rule(3, 4)
+
+    def test_unknown_model_raises_before_any_stream(self, no_streams):
+        with pytest.raises(ValueError, match="^unknown model 'bogus'$"):
+            run_det_study(2, 5, 100, "bogus", 3, 0)
+
+
+def test_each_joint_summary_is_factored_once(monkeypatch):
+    real, calls = linalg.cholesky, []
+
+    def counted(S):
+        calls.append(S.dim)
+        return real(S)
+
+    for module in (linalg, batching, calibration, inference, baselines, experiments):
+        if getattr(module, "cholesky", None) is real:
+            monkeypatch.setattr(module, "cholesky", counted)
+    R = 12
+    rep = run_coverage(CoverageConfig(
+        model="linear", d=2, T=600, method="bm_joint", m=8, alloc=Allocation(kind="ibs"),
+        replications=R, base_seed=4, cal_reps=MIN_REPS), threads=1)
+    assert rep.degenerate == 0 and calls == [2] * R
+
+    plan = make_plan(8, 4, Allocation(kind="es"))
+    s = summary_from_path(plan, np.arange(16.0).reshape(8, 2) ** 2)
+    region = build_region(s, _quantile(2, plan))
+    assert len(calls) == R + 1
+    contains(region, np.zeros(2))
+    region_volume(region)
+    assert len(calls) == R + 1
 
 
 class TestVolumeStudy:
@@ -614,12 +701,11 @@ class TestComparison:
             for r in out
         }
         # m = d: the joint cells cannot build a region and must fail loud
-        assert isinstance(by_method["bm_joint"], FailedCell)
-        assert isinstance(by_method["sectioning_joint"], FailedCell)
-        assert "m > d" in by_method["bm_joint"].error
+        for method in ("bm_joint", "sectioning_joint"):
+            assert by_method[method].error == f"BatchCountTooSmall: {_joint_rule(3, 3)}"
         # the marginal and Bonferroni cells still run
-        assert not isinstance(by_method["bm_marginal"], FailedCell)
-        assert not isinstance(by_method["bmi_joint"], FailedCell)
+        for method in ("bm_marginal", "sectioning_marginal", "bmi_joint", "bmi_marginal"):
+            assert not isinstance(by_method[method], FailedCell), method
 
     def test_all_cells_pass_when_m_large_enough(self):
         out = run_comparison(

@@ -1,6 +1,7 @@
 """Layering rules: the modules above calibration, inference, sgd and
 baselines use only their public names, inference uses only calibration's,
-and every random stream is built in `streams`."""
+no module uses a private batching name, and every random stream is built
+in `streams`."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,14 @@ def test_no_private_calibration_or_inference_names(module):
 @pytest.mark.parametrize("module", UPPER)
 def test_no_private_sgd_or_baselines_names(module):
     assert _private_uses(_tree(module), {"sgd", "baselines"}) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in Path(sgdci.__file__).parent.glob("*.py") if p.stem != "batching"))
+def test_no_private_batching_names(module):
+    """batching owns the joint statistic: others use joint_constant, check_joint
+    and factored_cov, never a private name."""
+    assert _private_uses(_tree(module), {"batching"}) == []
 
 
 def test_the_check_sees_each_form():
