@@ -27,6 +27,7 @@ from .batching import (
     Allocation,
     BatchMeansSummary,
     BatchPlan,
+    check_batch_count,
     make_plan,
     sample_cov,
     sample_sigma,
@@ -51,11 +52,9 @@ class SectioningResult:
 
 
 def section_plan(m: int, total_T: int) -> BatchPlan:
-    """m sections of total_T // m steps as one even-split plan (weights 1/m)."""
-    if m < 2:
-        raise ValueError(f"sectioning needs m >= 2, got {m}")
-    if total_T // m < 1:
-        raise ValueError(f"total_T={total_T} leaves empty sections at m={m}")
+    """m sections of total_T // m steps as one even-split plan (weights 1/m);
+    batching.check_batch_count judges m and total_T."""
+    check_batch_count(m, total_T)
     return make_plan(m * (total_T // m), m, Allocation(kind="es"))
 
 
@@ -91,7 +90,8 @@ def sectioning_infer(oracle: GradientOracle, m: int, total_T: int, schedule: Ste
         region.T = total_T  # the budget asked for, m * section_T plus the remainder
     intervals = marginal_intervals(summary, exact_quantile(spec_from_plan(plan, 1), delta))
     return SectioningResult(section_means=summary.xi, pooled_mean=summary.xbar,
-                            cov=sample_cov(summary), region=region, intervals=intervals, m=m,
+                            cov=sample_cov(summary) if region is None else region.shape,
+                            region=region, intervals=intervals, m=m,
                             section_T=plan.T // m, delta=delta)
 
 

@@ -30,7 +30,6 @@ from .errors import (
     DegenerateCovariance,
     DimensionMismatch,
     FeedCountMismatch,
-    InvalidBatchCount,
     NotPositiveDefinite,
 )
 from .linalg import CholFactor, SymMatrix, cholesky
@@ -71,14 +70,27 @@ class BatchPlan:
         return np.diff(self.boundaries)
 
 
+def check_dim(d: int) -> None:
+    """The one rule for a dimension: d >= 1 coordinates."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
+def check_batch_count(m: int, T: Optional[int] = None) -> None:
+    """The one pair of batch-count rules: m >= 2 batches, then, for a plan
+    over T iterates, T >= m, so that no batch is empty."""
+    if m < 2:
+        raise BatchCountTooSmall(f"batch count m must be >= 2, got {m}")
+    if T is not None and T < m:
+        raise BatchTooSmall(f"T={T} cannot host {m} nonempty batches")
+
+
 def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
 def _curve(m: int, alloc: Allocation) -> np.ndarray:
-    """Cumulative weights c_0 = 0 .. c_m = 1 of an allocation over m batches."""
-    if m < 2:
-        raise InvalidBatchCount(f"batch count m must be >= 2, got {m}")
+    """Cumulative weights c_0 = 0 .. c_m = 1 of an allocation over m >= 2 batches."""
     if alloc.kind == "custom":
         w = np.asarray(alloc.custom_weights, dtype=float)
         if len(w) != m:
@@ -98,6 +110,7 @@ def ideal_weights(m: int, alloc: Allocation) -> np.ndarray:
     custom weights are 1/m and w / sum(w) as they stand, not differences
     of the curve.
     """
+    check_batch_count(m)
     cum = _curve(m, alloc)
     if alloc.kind == "es":
         return np.full(m, 1.0 / m)
@@ -109,10 +122,9 @@ def ideal_weights(m: int, alloc: Allocation) -> np.ndarray:
 
 
 def make_plan(T: int, m: int, alloc: Allocation) -> BatchPlan:
-    """Integer boundaries for the requested allocation over 1..T."""
+    """Integer boundaries for the requested allocation over 1..T (check_batch_count)."""
+    check_batch_count(m, T)
     cum = _curve(m, alloc)
-    if T < m:
-        raise BatchTooSmall(f"T={T} cannot host {m} nonempty batches")
     tau = _round_half_up(cum * T)
     tau[0], tau[m] = 0, T
     for k in range(1, m):
@@ -202,7 +214,9 @@ def sample_cov(summary: BatchMeansSummary) -> SymMatrix:
 
 
 def sample_sigma(summary: BatchMeansSummary) -> np.ndarray:
-    """Per-coordinate batch-means standard deviations, sqrt(diag S_m(T))."""
+    """Per-coordinate batch-means standard deviations, sqrt(diag S_m(T));
+    m >= 2 (check_batch_count)."""
+    check_batch_count(summary.plan.m)
     dev = summary.xi - summary.xbar[None, :]
     return np.sqrt((dev * dev).sum(axis=0) / (summary.plan.m - 1))
 

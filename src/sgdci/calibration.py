@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
 
-from .batching import check_joint, joint_constant
+from .batching import check_dim, check_joint, joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
 from .streams import _worker_count, derive_stream, derive_streams
@@ -96,8 +96,7 @@ class LimitDrawSpec:
     w: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        check_dim(self.d)
         check_joint(self.d, self.m)
         w = np.asarray(self.w, dtype=float)
         if len(w) != self.m:
@@ -526,7 +525,10 @@ def f_quantile(d1: int, d2: int, p: float) -> float:
     """Inverse CDF of the F(d1, d2) distribution by bisection.
 
     The CDF is evaluated through the regularized incomplete beta function;
-    the bracket is bisected to an absolute tolerance of 1e-8.
+    the bracket is bisected to an absolute tolerance of 1e-8, or until no
+    double lies strictly inside it, as happens above 2**26, where adjacent
+    doubles are more than 1e-8 apart. A quantile above 1e18 raises
+    ValueError.
     """
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
@@ -540,9 +542,8 @@ def f_quantile(d1: int, d2: int, p: float) -> float:
     while cdf(hi) < p:
         hi *= 2.0
         if hi > 1e18:
-            raise RuntimeError("f_quantile bracket expansion failed")
-    while hi - lo > _F_TOL:
-        mid = 0.5 * (lo + hi)
+            raise ValueError(f"the F(d1={d1}, d2={d2}) quantile at p={p} exceeds 1e18")
+    while hi - lo > _F_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if cdf(mid) < p:
             lo = mid
         else:

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .calibration import (
     QuantileCache,
     estimate_alpha,
     spec_from_plan,
+    submit_alpha,
 )
 from .errors import SgdciError
 from .experiments import (
@@ -107,14 +109,10 @@ def _write_json(path, doc) -> None:
 
 def _cmd_calibrate(args) -> None:
     alloc = _alloc_from(args)
-    if alloc.kind == "custom":
-        m = len(args.weights)
-        if args.m is not None and args.m != m:
-            raise ValueError(f"--m {args.m} disagrees with {m} custom weights")
-    else:
-        if args.m is None:
-            raise ValueError("--m is required unless --alloc custom")
-        m = args.m
+    # custom weights fix m; a --m that disagrees is refused by ideal_weights
+    m = len(args.weights) if args.m is None and alloc.kind == "custom" else args.m
+    if m is None:
+        raise ValueError("--m is required unless --alloc custom")
     w = ideal_weights(m, alloc)
     sq = estimate_alpha(
         LimitDrawSpec(args.d, m, tuple(w)),
@@ -143,6 +141,9 @@ def _cmd_calibrate(args) -> None:
 
 
 def _cmd_infer(args) -> None:
+    """The calibrations are submitted, so their arguments checked, before
+    the SGD pass, and run on the pool while it steps; a failure waits for
+    the submitted chunks, as in estimate_alpha."""
     rows, oracle = ingest_csv(args.data, args.model)
     n = len(rows)
     if args.burn_in >= n:
@@ -152,40 +153,37 @@ def _cmd_infer(args) -> None:
                           schedule=StepSchedule(a=args.step_a, r=args.step_r))
     plan = make_plan(T, args.m, _alloc_from(args))
     d = oracle.dim
-    xi, xbar = single_run(oracle, config, derive_stream(args.seed), plan.boundaries)
-    summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=d)
-    cache = _cache_from(args)
-    doc = {
-        "config": _effective_config(args),
-        "n_rows": n,
-        "T": T,
-        "d": d,
-        "center": list(summary.xbar),
-    }
-    if args.mode in ("joint", "both"):
-        sq = estimate_alpha(
-            spec_from_plan(plan, d), args.delta, args.cal_reps, args.seed,
-            cache=cache, threads=args.threads,
-        )
-        region = build_region(summary, sq)
-        doc["joint"] = {
-            "scale": region.scale,
-            "shape": [list(row) for row in np.asarray(region.shape.entries)],
-            "alpha_hat": sq.alpha_hat,
-            "volume": region_volume(region),
+    dims = {"joint": [d], "marginal": [1], "both": [d, 1]}[args.mode]
+    with ThreadPoolExecutor(max_workers=_worker_count(args.threads)) as pool:
+        alphas = submit_alpha(pool, [spec_from_plan(plan, k) for k in dims], args.delta,
+                              args.cal_reps, args.seed, _cache_from(args))
+        xi, xbar = single_run(oracle, config, derive_stream(args.seed), plan.boundaries)
+        summary = BatchMeansSummary(plan=plan, xi=xi, xbar=xbar, d=d)
+        doc = {
+            "config": _effective_config(args),
+            "n_rows": n,
+            "T": T,
+            "d": d,
+            "center": list(summary.xbar),
         }
-    if args.mode in ("marginal", "both"):
-        sq1 = estimate_alpha(
-            spec_from_plan(plan, 1), args.delta, args.cal_reps, args.seed,
-            cache=cache, threads=args.threads,
-        )
-        iv = marginal_intervals(summary, sq1)
-        doc["marginal"] = {
-            "lo": list(iv.lo),
-            "hi": list(iv.hi),
-            "sigma": list(iv.sigma),
-            "alpha_hat_1d": sq1.alpha_hat,
-        }
+        if args.mode in ("joint", "both"):
+            sq = alphas[0]()
+            region = build_region(summary, sq)
+            doc["joint"] = {
+                "scale": region.scale,
+                "shape": [list(row) for row in np.asarray(region.shape.entries)],
+                "alpha_hat": sq.alpha_hat,
+                "volume": region_volume(region),
+            }
+        if args.mode in ("marginal", "both"):
+            sq1 = alphas[-1]()
+            iv = marginal_intervals(summary, sq1)
+            doc["marginal"] = {
+                "lo": list(iv.lo),
+                "hi": list(iv.hi),
+                "sigma": list(iv.sigma),
+                "alpha_hat_1d": sq1.alpha_hat,
+            }
     _write_json(args.out, doc)
 
 

@@ -14,12 +14,10 @@ class NotPositiveDefinite(SgdciError):
     diagonal entry, or that entry was not finite and positive."""
 
 
-class InvalidBatchCount(SgdciError):
-    """Batch count m below the minimum of 2."""
+class BatchTooSmall(SgdciError, ValueError):
+    """A planned batch would contain no iterates: T < m (batching.check_batch_count).
 
-
-class BatchTooSmall(SgdciError):
-    """A planned batch would contain no iterates."""
+    A ValueError as well, like every other argument rule of the package."""
 
 
 class FeedCountMismatch(SgdciError):
@@ -27,8 +25,10 @@ class FeedCountMismatch(SgdciError):
 
 
 class BatchCountTooSmall(SgdciError, ValueError):
-    """Joint inference requested with m <= d, where the batch-means
-    covariance is degenerate with probability one (batching.check_joint).
+    """Too few batches: m < 2 for any batch-means statistic
+    (batching.check_batch_count), or m <= d for a joint one, where the
+    batch-means covariance is degenerate with probability one
+    (batching.check_joint).
 
     A ValueError as well, like every other argument rule of the package."""
 

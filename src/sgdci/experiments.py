@@ -51,7 +51,13 @@ from .calibration import (
     submit_alpha,
 )
 from .errors import DegenerateCovariance, ExcessDegeneracy, SgdciError
-from .inference import VolumeFactor, build_region, marginal_intervals, submit_volume_factor
+from .inference import (
+    VolumeFactor,
+    build_region,
+    check_det_reps,
+    marginal_intervals,
+    submit_volume_factor,
+)
 from .linalg import SymMatrix, det_sqrt
 from .models import linspace_params, oracle_factory
 from .sgd import SgdRunConfig, StepSchedule, replicate
@@ -94,8 +100,6 @@ class CoverageConfig:
         check_delta(self.delta)
         if self.method.startswith("bm_"):
             check_reps(self.cal_reps)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
         if self.method in ("bm_joint", "sectioning_joint"):
             check_joint(self.d, self.m)
 
@@ -230,7 +234,8 @@ def run_coverage(
     average coverage across the d coordinates of each replication. A
     diverging chain raises NonFiniteIterate. `threads` workers (None: every
     usable CPU) fill the chains' input blocks and run a cold calibration; a
-    count below 1 raises before any stream is derived.
+    count below 1 raises before any stream is derived, as does a
+    replication count below 1 (sgd.replicate's rule).
     """
     _worker_count(threads)
     t0 = time.perf_counter()
@@ -279,8 +284,7 @@ def run_volume_study(
     running determinant pass holds its det_reps draws.
     """
     det_n = det_reps if det_reps is not None else reps
-    if det_n < 1:
-        raise ValueError(f"det_reps must be >= 1, got {det_n}")
+    check_det_reps(det_n)
     specs = [LimitDrawSpec(d, m, tuple(ideal_weights(m, allocation))) for m in m_list]
     cells = sorted({s.m: s for s in specs}.values(), key=lambda s: -s.m)
     rows = {}

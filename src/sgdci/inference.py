@@ -25,7 +25,7 @@ import numpy as np
 
 from .batching import BatchMeansSummary, check_joint, factored_cov, joint_constant, sample_sigma
 from .calibration import LimitDrawSpec, ScalingQuantile, det_sqrt_draws, weights_key
-from .errors import BatchCountTooSmall, DimensionMismatch, KeyMismatch
+from .errors import DimensionMismatch, KeyMismatch
 from .linalg import CholFactor, SymMatrix
 
 
@@ -109,12 +109,13 @@ def region_volume(region: ConfidenceRegion) -> float:
 def marginal_intervals(
     summary: BatchMeansSummary, alpha_1d: ScalingQuantile
 ) -> MarginalIntervals:
-    """Per-coordinate intervals sharing one d=1 scaling parameter."""
+    """Per-coordinate intervals sharing one d=1 scaling parameter.
+
+    sample_sigma refuses m < 2 batches before alpha_1d's key is checked.
+    """
     m = summary.plan.m
-    if m < 2:
-        raise BatchCountTooSmall(f"marginal intervals need m >= 2, got {m}")
-    _check_key(alpha_1d, 1, m, summary.plan.weights)
     sigma = sample_sigma(summary)
+    _check_key(alpha_1d, 1, m, summary.plan.weights)
     half = np.sqrt(alpha_1d.alpha_hat / m) * sigma
     return MarginalIntervals(
         lo=summary.xbar - half,
@@ -137,6 +138,12 @@ class VolumeFactor:
     e_det_sqrt: float
     se_det_sqrt: float
     reps: int
+
+
+def check_det_reps(reps: int) -> None:
+    """The one rule for a determinant pass's draw count: at least one draw."""
+    if reps < 1:
+        raise ValueError(f"determinant draws must be >= 1, got {reps}")
 
 
 def expected_volume_factor(
@@ -169,8 +176,7 @@ def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
     error with the quantile's own confidence interval through first-order
     propagation.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    check_det_reps(reps)
 
     def mean_and_se() -> tuple:
         dets = det_sqrt_draws(spec, gen, reps)

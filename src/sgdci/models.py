@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
+from .batching import check_dim
 from .errors import ExhaustedData, LabelDomainError, ParseError
 from .sgd import GradientOracle
 
@@ -47,8 +48,7 @@ class TrueParams:
 
 def linspace_params(d: int) -> TrueParams:
     """d coordinates linearly spaced over [0, 1]; the midpoint when d = 1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_dim(d)
     if d == 1:
         return TrueParams(np.array([0.5]))
     return TrueParams(np.linspace(0.0, 1.0, d))

@@ -24,7 +24,6 @@ from sgdci.errors import (
     DegenerateCovariance,
     DimensionMismatch,
     FeedCountMismatch,
-    InvalidBatchCount,
 )
 from sgdci.streams import derive_stream
 
@@ -105,7 +104,7 @@ class TestMakePlan:
         assert p.c[0] == 0.0 and p.c[-1] == 1.0
 
     def test_small_m_rejected(self):
-        with pytest.raises(InvalidBatchCount):
+        with pytest.raises(BatchCountTooSmall):
             make_plan(100, 1, Allocation(kind="es"))
 
     def test_infeasible_T_rejected(self):

@@ -5,8 +5,11 @@ weight case must bracket exact F quantiles, and the batched chunk evaluator
 must reproduce the one-draw-at-a-time reference path draw for draw.
 """
 
+import contextlib
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -36,6 +39,7 @@ from sgdci.calibration import (
     submit_alpha,
     weights_key,
 )
+from sgdci.cli import main
 from sgdci.errors import DimensionMismatch
 from sgdci.experiments import run_volume_study
 from sgdci.linalg import det_sqrt
@@ -562,6 +566,47 @@ class TestFQuantile:
             f_quantile(0, 5, 0.95)
         with pytest.raises(ValueError):
             f_quantile(1, 5, 1.0)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _alarm(seconds):
+        """A hang fails the test instead of stalling the run."""
+        def stop(*_):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("d1, p, exact", [
+        (1, 0.99997, lambda p: math.tan(math.pi * p / 2) ** 2),
+        (1, 1 - 1e-5, lambda p: math.tan(math.pi * p / 2) ** 2),
+        (2, 1 - 1e-5, lambda p: ((1 - p) ** -2 - 1) / 2),
+    ])
+    def test_quantiles_above_2_pow_26_return(self, d1, p, exact):
+        """Above 2**26 adjacent doubles lie more than the 1e-8 tolerance
+        apart; the bisection stops once no double lies inside its bracket.
+        F(1, 1) and F(2, 1) have closed forms; 1e-6 is the method's own limit,
+        as the CDF's argument x / (x + 1) rounds near 1."""
+        with self._alarm(5):
+            x = f_quantile(d1, 1, p)
+        assert x > 2 ** 26 and x == pytest.approx(exact(p), rel=1e-6)
+
+    def test_quantile_past_the_bracket_limit_is_a_value_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(calibration, "betainc", lambda a, b, x: 0.0)
+        message = "the F(d1=1, d2=1) quantile at p=0.95 exceeds 1e18"
+        with self._alarm(5), pytest.raises(ValueError) as e:
+            f_quantile(1, 1, 0.95)
+        assert str(e.value) == message
+        with self._alarm(30):
+            rc = main(["experiment", "coverage", "--model", "linear", "--d", "1", "--T", "200",
+                       "--m", "2", "--method", "sectioning_marginal", "--reps", "2",
+                       "--no-cache"])
+        assert rc == 1 and capsys.readouterr().err == f"ValueError: {message}\n"
 
 
 class TestExactQuantile:

@@ -1,17 +1,32 @@
 """Replicated coverage / volume / determinant studies and CSV writers."""
 
+import contextlib
 import csv
+import io
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sgdci import baselines, batching, calibration, experiments, inference, linalg, sgd, streams
-from sgdci.baselines import bmi_infer, sectioning_infer
+from sgdci import (
+    baselines,
+    batching,
+    calibration,
+    cli,
+    experiments,
+    inference,
+    linalg,
+    sgd,
+    streams,
+)
+from sgdci.baselines import bmi_infer, section_plan, sectioning_infer
 from sgdci.batching import (
     Allocation,
     BatchMeansSummary,
+    BatchPlan,
     accumulate,
     gamma_statistic,
     ideal_weights,
@@ -27,7 +42,7 @@ from sgdci.calibration import (
     spec_from_plan,
     weights_key,
 )
-from sgdci.errors import BatchCountTooSmall, NonFiniteIterate, SgdciError
+from sgdci.errors import BatchCountTooSmall, BatchTooSmall, NonFiniteIterate, SgdciError
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
     METHODS,
@@ -473,6 +488,193 @@ def _few_batches():
                              xbar=xi.mean(axis=0), d=4)
 
 
+# Each argument rule: its one class, its one message with "{}" for the bad
+# value, and the bad values drawn for it (the m > d rule at d = 4, the T >= m
+# rule at m = 8).
+RULES = {
+    "m >= 2": (BatchCountTooSmall, "batch count m must be >= 2, got {}", st.integers(-3, 1)),
+    "T >= m": (BatchTooSmall, "T={} cannot host 8 nonempty batches", st.integers(-3, 7)),
+    "R": (ValueError, "R must be >= 1, got {}", st.integers(-3, 0)),
+    "d": (ValueError, "d must be >= 1, got {}", st.integers(-3, 0)),
+    "det draws": (ValueError, "determinant draws must be >= 1, got {}", st.integers(-3, 0)),
+    "m > d": (BatchCountTooSmall, _joint_rule("{}", 4), st.integers(2, 4)),
+    "delta": (ValueError, "delta must lie in (0, 1), got {}",
+              st.floats(max_value=0.0) | st.floats(min_value=1.0)),
+    "reps": (ValueError, f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {{}}",
+             st.integers(-3, MIN_REPS - 1)),
+    "threads": (ValueError, "threads must be >= 1, got {}", st.integers(-3, 0)),
+}
+_IBS = Allocation(kind="ibs")
+
+
+def _even(m):
+    return (1 / m,) * m
+
+
+# the run_coverage argument each rule judges: a CoverageConfig field, or threads
+_COVERAGE_FIELD = {"m >= 2": "m", "T >= m": "T", "R": "replications", "d": "d",
+                   "delta": "delta", "reps": "cal_reps", "threads": "threads"}
+
+
+def _coverage_cell(method, threads=None, **over):
+    base = dict(model="linear", d=1, T=400, method=method, m=8, alloc=_IBS, replications=3,
+                base_seed=0, cal_reps=MIN_REPS)
+    return run_coverage(CoverageConfig(**{**base, **over}), threads=threads)
+
+
+def _comparison(**over):
+    """The one error of every cell, which must all have failed alike."""
+    base = dict(model="linear", d=1, T=400, m=8, alloc=_IBS, delta=0.05, replications=3,
+                base_seed=0, cal_reps=MIN_REPS)
+    (error,) = {r.error for r in run_comparison(**{**base, **over})}
+    return error
+
+
+def _hand_built_marginal(m):
+    """marginal_intervals on a summary of m batches built by hand, with a
+    quantile under its own key, so only the batch count can be refused."""
+    plan = BatchPlan(T=10, m=m, boundaries=np.array([0, 10]), weights=np.ones(1),
+                     c=np.array([0.0, 1.0]))
+    s = BatchMeansSummary(plan=plan, xi=np.ones((1, 2)), xbar=np.ones(2), d=2)
+    key = (1, m, weights_key(plan.weights), 0.05, MIN_REPS, 0)
+    return marginal_intervals(s, ScalingQuantile(2.0, 2.0, 2.0, 0.05, MIN_REPS, key))
+
+
+def _volume_factor(d, m, reps):
+    w = _even(m)
+    key = (d, m, weights_key(w), 0.05, MIN_REPS, 0)
+    return expected_volume_factor(d, m, w, ScalingQuantile(2.0, 2.0, 2.0, 0.05, MIN_REPS, key),
+                                  reps, np.random.Generator(np.random.PCG64(0)))
+
+
+def _cli(*argv):
+    """What `sgdci argv` printed: the one stderr line of exit code 1, or for
+    compare (exit code 0) the one error of every failed cell."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([str(a) for a in argv])
+    if argv[0] == "compare":
+        assert rc == 0
+        (error,) = {line.split("failed (", 1)[1][:-1] for line in out.getvalue().splitlines()}
+        return error
+    assert rc == 1 and err.getvalue().count("\n") == 1
+    return err.getvalue().rstrip("\n")
+
+
+# bad values the CLI's positive-integer flags let through
+_CLI_INT = {"m >= 2": st.just(1), "T >= m": st.integers(1, 7),
+            "reps": st.integers(1, MIN_REPS - 1)}
+_INFER = ["infer", "--model", "linear", "--no-cache"]  # the entry's second argument is --data
+_COVER = ["experiment", "coverage", "--model", "linear", "--reps", "3", "--no-cache"]
+_VOLUME = ["experiment", "volume", "--no-cache"]
+_DETCOV = ["experiment", "detcov", "--model", "linear", "--reps", "3"]
+
+# (rule, entry(bad value, path of a 40-row d = 4 linear CSV), values or None for the rule's own)
+RULE_CASES = {
+    "make_plan/m": ("m >= 2", lambda v, _: make_plan(400, v, _IBS), None),
+    "make_plan/T": ("T >= m", lambda v, _: make_plan(v, 8, _IBS), None),
+    "ideal_weights/m": ("m >= 2", lambda v, _: ideal_weights(v, _IBS), None),
+    "section_plan/m": ("m >= 2", lambda v, _: section_plan(v, 400), None),
+    "section_plan/T": ("T >= m", lambda v, _: section_plan(8, v), None),
+    "marginal_intervals/m": ("m >= 2", lambda v, _: _hand_built_marginal(v), st.just(1)),
+    "LimitDrawSpec/d": ("d", lambda v, _: LimitDrawSpec(v, 8, _even(8)), None),
+    "LimitDrawSpec/m>d": ("m > d", lambda v, _: LimitDrawSpec(4, v, _even(v)), None),
+    **{f"estimate_alpha/{rule}": (rule, entry, None) for rule, entry in [
+        ("delta", lambda v, _: estimate_alpha(LimitDrawSpec(1, 8, _even(8)), v, MIN_REPS, 0)),
+        ("reps", lambda v, _: estimate_alpha(LimitDrawSpec(1, 8, _even(8)), 0.05, v, 0)),
+        ("threads", lambda v, _: estimate_alpha(LimitDrawSpec(1, 8, _even(8)), 0.05, MIN_REPS, 0,
+                                                threads=v))]},
+    **{f"run_volume_study/{rule}": (rule, entry, None) for rule, entry in [
+        ("m >= 2", lambda v, _: run_volume_study(1, [8, v], _IBS, 0.05, MIN_REPS, 0)),
+        ("d", lambda v, _: run_volume_study(v, [8], _IBS, 0.05, MIN_REPS, 0)),
+        ("m > d", lambda v, _: run_volume_study(4, [v], _IBS, 0.05, MIN_REPS, 0)),
+        ("delta", lambda v, _: run_volume_study(1, [8], _IBS, v, MIN_REPS, 0)),
+        ("reps", lambda v, _: run_volume_study(1, [8], _IBS, 0.05, v, 0, det_reps=10)),
+        ("det draws", lambda v, _: run_volume_study(1, [8], _IBS, 0.05, MIN_REPS, 0, det_reps=v)),
+        ("threads", lambda v, _: run_volume_study(1, [8], _IBS, 0.05, MIN_REPS, 0, threads=v))]},
+    "expected_volume_factor/d": ("d", lambda v, _: _volume_factor(v, 8, 10), None),
+    "expected_volume_factor/m>d": ("m > d", lambda v, _: _volume_factor(4, v, 10), None),
+    "expected_volume_factor/draws": ("det draws", lambda v, _: _volume_factor(1, 8, v), None),
+    **{f"run_coverage/{method}/{rule}": (rule, lambda v, _, method=method, field=field:
+                                         _coverage_cell(method, **{field: v}), None)
+       for method, rules in [("bm_marginal", ["m >= 2", "T >= m", "R", "d", "delta", "reps",
+                                              "threads"]),
+                             ("sectioning_marginal", ["m >= 2", "T >= m", "R", "d", "delta",
+                                                      "threads"]),
+                             ("bmi_marginal", ["R", "d", "delta", "threads"])]
+       for rule, field in ((rule, _COVERAGE_FIELD[rule]) for rule in rules)},
+    **{f"run_coverage/{method}/m>d": ("m > d", lambda v, _, method=method: _coverage_cell(
+        method, d=4, m=v), None) for method in ("bm_joint", "sectioning_joint")},
+    **{f"run_comparison/{rule}": (rule, entry, None) for rule, entry in [
+        ("R", lambda v, _: _comparison(replications=v)),
+        ("d", lambda v, _: _comparison(d=v)),
+        ("delta", lambda v, _: _comparison(delta=v)),
+        ("threads", lambda v, _: run_comparison("linear", 1, 400, 8, _IBS, 0.05, 3, 0,
+                                                threads=v))]},
+    **{f"run_det_study/{rule}": (rule, entry, None) for rule, entry in [
+        ("m >= 2", lambda v, _: run_det_study(2, v, 400, "linear", 3, 0)),
+        ("T >= m", lambda v, _: run_det_study(2, 8, v, "linear", 3, 0)),
+        ("R", lambda v, _: run_det_study(2, 8, 400, "linear", v, 0)),
+        ("d", lambda v, _: run_det_study(v, 8, 400, "linear", 3, 0))]},
+    "replicate/R": ("R", lambda v, _: sgd.replicate(
+        linear_oracle(linspace_params(1)), SgdRunConfig(T=10), [[0, 10]], v, 0), None),
+    **{f"sectioning_infer/{rule}": (rule, entry, None) for rule, entry in [
+        ("m >= 2", lambda v, _: sectioning_infer(
+            linear_oracle(linspace_params(1)), v, 400, StepSchedule(), 0.05, 0)),
+        ("T >= m", lambda v, _: sectioning_infer(
+            linear_oracle(linspace_params(1)), 8, v, StepSchedule(), 0.05, 0)),
+        ("delta", lambda v, _: sectioning_infer(
+            linear_oracle(linspace_params(1)), 8, 400, StepSchedule(), v, 0))]},
+    "bmi_infer/delta": ("delta", lambda v, _: bmi_infer(
+        linear_oracle(linspace_params(1)), 400, v, np.random.Generator(np.random.PCG64(0))), None),
+    "linspace_params/d": ("d", lambda v, _: linspace_params(v), None),
+    **{f"cli calibrate/{rule}": (rule, entry, _CLI_INT.get(rule)) for rule, entry in [
+        ("m >= 2", lambda v, _: _cli("calibrate", "--d", 1, "--m", v, "--no-cache")),
+        ("m > d", lambda v, _: _cli("calibrate", "--d", 4, "--m", v, "--no-cache")),
+        ("delta", lambda v, _: _cli("calibrate", "--d", 1, "--m", 8, f"--delta={v!r}",
+                                    "--no-cache")),
+        ("reps", lambda v, _: _cli("calibrate", "--d", 1, "--m", 8, "--reps", v, "--no-cache"))]},
+    **{f"cli infer/{rule}": (rule, entry, _CLI_INT.get(rule)) for rule, entry in [
+        ("m >= 2", lambda v, data: _cli(*_INFER, "--data", data, "--m", v)),
+        ("T >= m", lambda v, data: _cli(*_INFER, "--data", data, "--m", 8, "--burn-in", 40 - v)),
+        ("m > d", lambda v, data: _cli(*_INFER, "--data", data, "--m", v)),
+        ("delta", lambda v, data: _cli(*_INFER, "--data", data, "--mode", "both", "--m", 8,
+                                       f"--delta={v!r}")),
+        ("reps", lambda v, data: _cli(*_INFER, "--data", data, "--mode", "marginal", "--m", 8,
+                                      "--cal-reps", v))]},
+    "cli compare/delta": ("delta", lambda v, _: _cli(
+        "compare", "--model", "linear", "--d", 1, "--T", 400, "--m", 8, "--reps", 3,
+        f"--delta={v!r}", "--no-cache"), None),
+    **{f"cli experiment coverage/{rule}": (rule, entry, _CLI_INT.get(rule)) for rule, entry in [
+        ("m >= 2", lambda v, _: _cli(*_COVER, "--method", "sectioning_marginal", "--d", 1,
+                                     "--T", 400, "--m", v)),
+        ("T >= m", lambda v, _: _cli(*_COVER, "--method", "bm_marginal", "--d", 1, "--T", v,
+                                     "--m", 8)),
+        ("m > d", lambda v, _: _cli(*_COVER, "--method", "bm_joint", "--d", 4, "--T", 400,
+                                    "--m", v)),
+        ("delta", lambda v, _: _cli(*_COVER, "--d", 1, "--T", 400, "--m", 8, f"--delta={v!r}")),
+        ("reps", lambda v, _: _cli(*_COVER, "--method", "bm_marginal", "--d", 1, "--T", 400,
+                                   "--m", 8, "--cal-reps", v))]},
+    **{f"cli experiment volume/{rule}": (rule, entry, _CLI_INT.get(rule)) for rule, entry in [
+        ("m >= 2", lambda v, _: _cli(*_VOLUME, "--d", 1, "--m-list", f"8,{v}")),
+        ("m > d", lambda v, _: _cli(*_VOLUME, "--d", 4, "--m-list", v)),
+        ("delta", lambda v, _: _cli(*_VOLUME, "--d", 1, "--m-list", 8, f"--delta={v!r}")),
+        ("reps", lambda v, _: _cli(*_VOLUME, "--d", 1, "--m-list", 8, "--reps", v))]},
+    **{f"cli experiment detcov/{rule}": (rule, entry, _CLI_INT.get(rule)) for rule, entry in [
+        ("m >= 2", lambda v, _: _cli(*_DETCOV, "--d", 2, "--m", v, "--T", 400)),
+        ("T >= m", lambda v, _: _cli(*_DETCOV, "--d", 2, "--m", 8, "--T", v))]},
+}
+
+
+def _refusal(call) -> str:
+    """The "Class: message" of what call raised, or the text it returned."""
+    try:
+        return call()
+    except (SgdciError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+
 class TestSharedRules:
     """The replicated studies and the single-run API reject the same inputs."""
 
@@ -484,6 +686,7 @@ class TestSharedRules:
 
         for module in (streams, sgd, experiments, calibration):
             monkeypatch.setattr(module, "derive_streams", no_streams)
+        monkeypatch.setattr(sgd, "run_chains", no_streams)
 
     def _coverage(self, **over):
         base = dict(model="linear", d=1, T=400, method="bm_marginal", m=8,
@@ -556,6 +759,26 @@ class TestSharedRules:
     def test_unknown_model_raises_before_any_stream(self, no_streams):
         with pytest.raises(ValueError, match="^unknown model 'bogus'$"):
             run_det_study(2, 5, 100, "bogus", 3, 0)
+
+    @pytest.fixture(scope="class")
+    def linear_csv(self, tmp_path_factory):
+        """40 rows of a d = 4 linear model."""
+        path = tmp_path_factory.mktemp("rules") / "rows.csv"
+        rows = np.random.Generator(np.random.PCG64(3)).standard_normal((40, 5))
+        np.savetxt(path, rows, delimiter=",", header="a_1,a_2,a_3,a_4,b", comments="")
+        return str(path)
+
+    @pytest.mark.parametrize("rule, entry, values", RULE_CASES.values(), ids=RULE_CASES)
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_each_rule_has_one_class_and_message(self, rule, entry, values, data, no_streams,
+                                                 linear_csv):
+        """Every public entry refuses a bad value with the rule's one class and
+        one message, naming the argument and its value, before any stream."""
+        cls, message, default = RULES[rule]
+        v = data.draw(default if values is None else values, label=rule)
+        assert _refusal(lambda: entry(v, linear_csv)) == f"{cls.__name__}: {message.format(v)}"
 
 
 def test_each_joint_summary_is_factored_once(monkeypatch):
