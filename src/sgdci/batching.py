@@ -51,8 +51,7 @@ class Allocation:
         if self.kind == "custom":
             if self.custom_weights is None or len(self.custom_weights) == 0:
                 raise ValueError("custom allocation requires custom_weights")
-            if not all(0.0 < w < np.inf for w in self.custom_weights):
-                raise ValueError("custom weights must be finite and strictly positive")
+            check_weights(self.custom_weights)
         elif self.custom_weights is not None:
             raise ValueError("custom_weights only apply to kind='custom'")
 
@@ -68,6 +67,19 @@ class BatchPlan:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.boundaries)
+
+
+def check_weights(w) -> None:
+    """The one rule for weight values: each finite and strictly positive."""
+    for x in w:
+        if not 0.0 < x < np.inf:
+            raise ValueError(f"weights must be finite and strictly positive, got {x}")
+
+
+def check_weight_count(w, m: int) -> None:
+    """The one rule for a weight vector's length: one weight per batch."""
+    if len(w) != m:
+        raise DimensionMismatch(f"got {len(w)} weights for m={m} batches")
 
 
 def check_dim(d: int) -> None:
@@ -92,11 +104,8 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
 def _curve(m: int, alloc: Allocation) -> np.ndarray:
     """Cumulative weights c_0 = 0 .. c_m = 1 of an allocation over m >= 2 batches."""
     if alloc.kind == "custom":
+        check_weight_count(alloc.custom_weights, m)
         w = np.asarray(alloc.custom_weights, dtype=float)
-        if len(w) != m:
-            raise DimensionMismatch(
-                f"custom allocation has {len(w)} weights for m={m} batches"
-            )
         return np.concatenate([[0.0], np.cumsum(w / w.sum())])
     i = np.arange(m + 1, dtype=float)
     return i / m if alloc.kind == "es" else (i / m) ** (1.0 / (1.0 - alloc.r))

@@ -26,8 +26,11 @@ Memory is bounded by windows, not chunks: a walk holds one window of about
 512 KB of normals, reduced to Gram matrices while a window and its
 centering temporary fit in a core's L2 cache. A lone reader forms its batch
 slopes over its window; a chunk task of several specs forms them in one
-slope buffer the window's size. The statistics of each missed spec (reps
-doubles) are held from submission until its finisher.
+slope buffer the window's size. Each missed spec keeps only the tail its
+quantile reads (_Tail): the reps - lo + 1 largest statistics, lo the lowest
+rank of the confidence interval, and never more than twice that many plus
+one window's statistics (2 * keep is about a tenth of reps at
+delta = 0.05).
 The batched Gram matmul, solve and slogdet of each view a walk yields
 hold one process-wide lock, _BLAS_LOCK: OpenBLAS makes one small call per
 draw there, and two workers making them at once spent 3-5x the CPU of each
@@ -67,7 +70,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik, betainc
 
-from .batching import check_dim, check_joint, joint_constant
+from .batching import check_dim, check_joint, check_weight_count, check_weights, joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
 from .linalg import SymMatrix, quad_form_inv
 from .streams import _worker_count, derive_stream, derive_streams
@@ -98,11 +101,9 @@ class LimitDrawSpec:
     def __post_init__(self):
         check_dim(self.d)
         check_joint(self.d, self.m)
+        check_weight_count(self.w, self.m)
+        check_weights(self.w)
         w = np.asarray(self.w, dtype=float)
-        if len(w) != self.m:
-            raise DimensionMismatch(f"{len(w)} weights for m={self.m}")
-        if not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
@@ -269,25 +270,30 @@ def _gram(spec: LimitDrawSpec, draws: np.ndarray, out: Optional[np.ndarray]) -> 
 
 
 def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generator) -> None:
-    """Fill each cell's statistics from gen, the stream (base_seed, chunk_index).
+    """Hand each cell's statistics from gen, the stream (base_seed, chunk_index),
+    to the cell's sink.
 
-    cells holds (spec, out) pairs: out receives the statistics of spec's
-    first len(out) draws of m*d + d normals on the stream, each cell a
-    prefix of the same normals, walked once (_walk). A lone cell forms its
-    batch slopes over its window; several cells share one slope buffer.
-    Each cell's values are those the stream gives it alone.
+    cells holds (spec, n, sink) triples: sink is called once per window, in
+    draw order, with the statistics of spec's next whole draws among its
+    first n draws of m*d + d normals on the stream, an array valid only
+    during the call. Each cell reads a prefix of the same normals, walked
+    once (_walk). A lone cell forms its batch slopes over its window;
+    several cells share one slope buffer. Each cell's values are those the
+    stream gives it alone.
 
     An exactly singular G (probability zero) fails the block's solve; its
     draws are solved against I instead, so the block's other draws keep
-    their values, and are then redrawn through simulate_limit_draw from the
-    cell's own rescue stream (base_seed, 2**32 + chunk_index).
+    their values, and are then redrawn through simulate_limit_draw, before
+    the window reaches the sink, from the cell's own rescue stream
+    (base_seed, 2**32 + chunk_index), derived at its first such draw and
+    carried across its windows.
     """
-    widths = [spec.m * spec.d + spec.d for spec, _ in cells]
-    counts = [len(out) for _, out in cells]
+    widths = [spec.m * spec.d + spec.d for spec, _, _ in cells]
+    counts = [n for _, n, _ in cells]
     slopes = np.empty(_window_doubles(widths, counts)) if len(cells) > 1 else None
-    done = [0] * len(cells)
+    rescues = [None] * len(cells)
     for i, draws in _walk(gen, widths, counts):
-        spec, out = cells[i]
+        spec, _, sink = cells[i]
         G = _gram(spec, draws, slopes)
         Z = draws[:, spec.m * spec.d :]
         singular = None
@@ -298,17 +304,14 @@ def _eval_chunk(cells, chunk_index: int, base_seed: int, gen: np.random.Generato
                 singular = np.linalg.det(G) == 0.0
                 G[singular] = np.eye(spec.d)
                 sol = np.linalg.solve(G, Z[..., None])[..., 0]
-        stats = out[done[i] : done[i] + len(G)]
-        stats[:] = np.einsum("nd,nd->n", Z, sol) / joint_constant(spec.d, spec.m)
+        stats = np.einsum("nd,nd->n", Z, sol) / joint_constant(spec.d, spec.m)
         if singular is not None:
             stats[singular] = np.nan  # rescued below
-        done[i] += len(G)
-    for spec, out in cells:
-        bad = np.nonzero(~np.isfinite(out))[0]
-        if len(bad):
-            rescue = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
-            for j in bad:
-                out[j] = simulate_limit_draw(spec, rescue)
+        for j in np.nonzero(~np.isfinite(stats))[0]:
+            if rescues[i] is None:
+                rescues[i] = derive_stream(base_seed, _RESCUE_OFFSET + chunk_index)
+            stats[j] = simulate_limit_draw(spec, rescues[i])
+        sink(stats)
 
 
 def det_sqrt_draws(spec: LimitDrawSpec, gen: np.random.Generator, reps: int) -> np.ndarray:
@@ -324,6 +327,39 @@ def det_sqrt_draws(spec: LimitDrawSpec, gen: np.random.Generator, reps: int) -> 
         dets[done : done + len(G)] = np.where(sign > 0, np.exp(0.5 * logdet), 0.0)
         done += len(G)
     return dets
+
+
+class _Tail:
+    """The keep largest of one spec's statistics, added a window at a time by
+    its chunk tasks.
+
+    add keeps the values at or above the floor, which is -inf until more
+    than 2 * keep values are held and then, under the lock, cuts them to
+    the keep largest and rises to the least of them, the keep-th largest
+    value so far; a value equal to the floor is kept, so ties stay. Which
+    values are the keep largest does not depend on the order of the adds.
+    """
+
+    def __init__(self, keep: int):
+        self.keep, self.floor = keep, -math.inf
+        self._held, self._count = [], 0
+        self._lock = threading.Lock()
+
+    def add(self, values: np.ndarray) -> None:
+        kept = values[values >= self.floor]  # a floor read before it rises keeps more
+        with self._lock:
+            self._held.append(kept)
+            self._count += len(kept)
+            if self._count > 2 * self.keep:
+                held = np.concatenate(self._held)
+                cut = len(held) - self.keep
+                held.partition(cut)
+                self._held, self._count = [held[cut:].copy()], self.keep
+                self.floor = float(self._held[0][0])
+
+    def sorted(self) -> np.ndarray:
+        """The keep largest values, ascending."""
+        return np.sort(np.concatenate(self._held))[-self.keep :]
 
 
 class QuantileCache:
@@ -434,14 +470,16 @@ def submit_alpha(pool, specs, delta: float, reps: int, base_seed: int,
     its spec's reps draws, with a 95% binomial order-statistic confidence
     interval, and stores it in the cache under the exact (d, m, weight
     digest, delta, reps, base_seed) key. Each is what a call for that spec
-    alone gives. Each miss holds its reps statistics, one preallocated
-    array that its chunks fill by slices, until its finisher runs.
+    alone gives. The ranks are fixed here (_ranks), so each miss holds only
+    its statistics from the interval's lowest rank lo up, reps - lo + 1 of
+    them, in a _Tail its chunks add to, until its finisher runs.
     """
     check_delta(delta)
     check_reps(reps)
     keys = [(spec.d, spec.m, weights_key(spec.w), float(delta), int(reps), int(base_seed))
             for spec in specs]
-    hits, misses = {}, {}  # key -> ScalingQuantile; key -> (spec, stats, chunk)
+    ranks = _ranks(float(delta), int(reps))
+    hits, misses = {}, {}  # key -> ScalingQuantile; key -> (spec, tail, chunk)
     for spec, key in zip(specs, keys):
         if key in hits or key in misses:
             continue
@@ -452,35 +490,44 @@ def submit_alpha(pool, specs, delta: float, reps: int, base_seed: int,
             )
         hit = cache.get(key) if cache is not None else None
         if hit is None:
-            misses[key] = (spec, np.empty(reps), _chunk_size(spec))
+            misses[key] = (spec, _Tail(reps - ranks[1] + 1), _chunk_size(spec))
         else:
             hits[key] = hit
     n_streams = max((-(-reps // chunk) for _, _, chunk in misses.values()), default=0)
     tasks = []
     for k, gen in enumerate(derive_streams(base_seed, [(k,) for k in range(n_streams)])):
-        cells = [(spec, stats[k * chunk : (k + 1) * chunk])
-                 for spec, stats, chunk in misses.values() if k * chunk < reps]
+        cells = [(spec, min(chunk, reps - k * chunk), tail.add)
+                 for spec, tail, chunk in misses.values() if k * chunk < reps]
         tasks.append(pool.submit(_eval_chunk, cells, k, base_seed, gen))
     finishers = {key: (lambda hit=hit: hit) for key, hit in hits.items()}
     finishers.update(
-        (key, partial(_order_statistic, key, stats, cache, tasks[: -(-reps // chunk)]))
-        for key, (_, stats, chunk) in misses.items())
+        (key, partial(_order_statistic, key, ranks, tail, cache, tasks[: -(-reps // chunk)]))
+        for key, (_, tail, chunk) in misses.items())
     return [finishers[key] for key in keys]
 
 
-def _order_statistic(key: tuple, stats: np.ndarray, cache: Optional[QuantileCache],
+def _ranks(delta: float, reps: int) -> tuple:
+    """(k, lo, hi): the rank ceil((1-delta)*reps) of the quantile among reps
+    ascending statistics, and the ranks of its 95% binomial order-statistic
+    confidence interval, lo <= k <= hi."""
+    p = 1.0 - delta
+    k = int(np.ceil(p * reps))
+    lo = min(max(_binom_ppf(0.025, reps, p), 1), k)
+    hi = max(min(_binom_ppf(0.975, reps, p) + 1, reps), k)
+    return k, lo, hi
+
+
+def _order_statistic(key: tuple, ranks: tuple, tail: _Tail, cache: Optional[QuantileCache],
                      tasks) -> ScalingQuantile:
-    """The ScalingQuantile of key from the reps statistics that tasks fill,
-    stored in cache."""
+    """The ScalingQuantile of key at ranks (_ranks), stored in cache, once
+    tasks have added every statistic to tail: only the tail, the statistics
+    of rank lo and up, is sorted, and rank r is read at index r - lo."""
     for task in tasks:
         task.result()
-    stats.sort()
-    p, n = 1.0 - key[3], key[4]
-    k = int(np.ceil(p * n))
-    lo_rank = min(max(_binom_ppf(0.025, n, p), 1), k)
-    hi_rank = max(min(_binom_ppf(0.975, n, p) + 1, n), k)
-    sq = ScalingQuantile(alpha_hat=float(stats[k - 1]), ci_low=float(stats[lo_rank - 1]),
-                         ci_high=float(stats[hi_rank - 1]), delta=key[3], reps=n, key=key)
+    k, lo, hi = ranks
+    top = tail.sorted()
+    sq = ScalingQuantile(alpha_hat=float(top[k - lo]), ci_low=float(top[0]),
+                         ci_high=float(top[hi - lo]), delta=key[3], reps=key[4], key=key)
     if cache is not None:
         cache.put(sq)
     return sq

@@ -278,10 +278,12 @@ def run_volume_study(
     every batch count, whose chunk k serves all the missed cells from one
     draw of stream (base_seed, k), then the determinant passes, largest m
     first, as cost grows with m. Their BLAS calls hold one lock, which caps
-    what more workers gain. The study holds the statistics of all its
-    missed cells at once, len(set(m_list)) * reps doubles (3.2 MB at
-    reps = 1e5 and four batch counts, 256 MB at reps = 8e6), and each
-    running determinant pass holds its det_reps draws.
+    what more workers gain. The study holds the tails of all its missed
+    cells at once, each at most 2 * keep doubles and one window, keep the
+    reps - lo + 1 statistics a quantile reads (submit_alpha; about
+    reps / 20 at delta = 0.05): 0.33 MB at reps = 1e5 and four batch
+    counts, 26 MB at reps = 8e6. Each running determinant pass holds its
+    det_reps draws once.
     """
     det_n = det_reps if det_reps is not None else reps
     check_det_reps(det_n)

@@ -171,16 +171,24 @@ def submit_volume_factor(pool, spec: LimitDrawSpec, reps: int,
 
     The pass takes det(g)^{1/2} of reps skeleton draws from gen and averages
     them into E[det(g)^{1/2}] with its standard error, so it holds its
-    draws only while it runs. The finisher checks that alpha was calibrated
-    for spec; the reported standard error combines the pass's sampling
-    error with the quantile's own confidence interval through first-order
-    propagation.
+    draws only while it runs, in one reps-long array: the mean and standard
+    error are formed over it in place, by the steps of numpy's mean and
+    std(ddof=1), so they equal those bit for bit with no second reps-long
+    array (reps = 1 gives a standard error of 0). The finisher checks that
+    alpha was calibrated for spec; the reported standard error combines the
+    pass's sampling error with the quantile's own confidence interval
+    through first-order propagation.
     """
     check_det_reps(reps)
 
     def mean_and_se() -> tuple:
         dets = det_sqrt_draws(spec, gen, reps)
-        return float(dets.mean()), float(dets.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        mean = np.add.reduce(dets) / reps
+        if reps == 1:
+            return float(mean), 0.0
+        dets -= mean
+        dets *= dets
+        return float(mean), float(np.sqrt(np.add.reduce(dets) / (reps - 1)) / math.sqrt(reps))
 
     pending = pool.submit(mean_and_se)
 

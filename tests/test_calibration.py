@@ -80,16 +80,33 @@ def finish_on_one_worker(spec, *args):
 
 def eval_chunks(cells, k, seed):
     """_eval_chunk on stream (seed, k) for cells of (spec, n); one array of
-    statistics per cell."""
-    outs = [np.empty(n) for _, n in cells]
-    _eval_chunk([(spec, out) for (spec, _), out in zip(cells, outs)], k, seed,
-                derive_stream(seed, k))
-    return outs
+    statistics per cell, what its sink was handed, in order."""
+    outs = [[] for _ in cells]
+    _eval_chunk([(spec, n, lambda stats, out=out: out.append(stats.copy()))
+                 for (spec, n), out in zip(cells, outs)], k, seed, derive_stream(seed, k))
+    return [np.concatenate(out) for out in outs]
 
 
 def eval_chunk(spec, n, k, seed):
     (stats,) = eval_chunks([(spec, n)], k, seed)
     return stats
+
+
+def full_sort_quantile(spec, delta, reps, seed):
+    """The hex of (alpha_hat, ci_low, ci_high) read from all reps statistics
+    of a calibration, sorted in full, at the ranks its order statistic reads."""
+    chunk = _chunk_size(spec)
+    stats = np.sort(np.concatenate([eval_chunk(spec, min(chunk, reps - k * chunk), k, seed)
+                                    for k in range(-(-reps // chunk))]))
+    p = 1.0 - delta
+    k = int(np.ceil(p * reps))
+    lo = min(max(_binom_ppf(0.025, reps, p), 1), k)
+    hi = max(min(_binom_ppf(0.975, reps, p) + 1, reps), k)
+    return [float(stats[r - 1]).hex() for r in (k, lo, hi)]
+
+
+def hexes(sq):
+    return [sq.alpha_hat.hex(), sq.ci_low.hex(), sq.ci_high.hex()]
 
 
 class TestSkeletonCovariance:
@@ -364,7 +381,7 @@ class TestEstimateAlpha:
         read = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
             spy = SimpleNamespace(submit=lambda fn, cells, *args: read.append(
-                [spec for spec, _ in cells]) or pool.submit(fn, cells, *args))
+                [spec for spec, _, _ in cells]) or pool.submit(fn, cells, *args))
             shared = [finish() for finish in submit_alpha(spy, specs, 0.05, reps, seed, cache)]
         assert shared == alone
         assert read == [[specs[0], specs[1], specs[4], specs[5]], [specs[1]]]
@@ -403,6 +420,18 @@ class TestEstimateAlpha:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_calibration_holds_its_tail_not_its_draws(self):
+        # 1e6 statistics are 7.6 MiB; at delta = 0.05 the tail a quantile
+        # reads is 50,429 of them, held at most twice over plus a window
+        spec = LimitDrawSpec(1, 6, tuple(ideal_weights(6, Allocation(kind="ibs"))))
+        tracemalloc.start()
+        try:
+            estimate_alpha(spec, 0.05, 10**6, 3, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     @pytest.mark.parametrize("reps", [10**4, 3 * 10**4 + 7, 10**5, 10**6, 10**7])
     def test_order_statistic_ranks_match_scipy(self, reps):
         from scipy.stats import binom
@@ -416,6 +445,86 @@ class TestEstimateAlpha:
         tight = estimate_alpha(spec, 0.01, 5 * 10**4, 21)
         loose = estimate_alpha(spec, 0.10, 5 * 10**4, 21)
         assert tight.alpha_hat > loose.alpha_hat
+
+
+class TestTail:
+    """Only the statistics from the confidence interval's lowest rank up are
+    kept and sorted; what they give must equal a full sort of every draw."""
+
+    SPEC = LimitDrawSpec(1, 10, tuple(ideal_weights(10, Allocation(kind="ibs"))))
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.05, 0.5, 0.95])
+    def test_quantile_equals_a_full_sort(self, delta):
+        # two whole chunks and part of a third, two workers adding at once
+        reps = 2 * _chunk_size(self.SPEC) + 4321
+        sq = estimate_alpha(self.SPEC, delta, reps, 19, threads=2)
+        assert hexes(sq) == full_sort_quantile(self.SPEC, delta, reps, 19)
+
+    def test_rescued_draws_reach_the_tail(self, monkeypatch):
+        # the least G of every window (at d = 1 most often its largest
+        # statistic) is zeroed, so each window has a draw rescued before
+        # it reaches the tail, on any worker
+        reps, seed = 2 * _chunk_size(self.SPEC) + 4321, 29
+        clean = full_sort_quantile(self.SPEC, 0.05, reps, seed)
+        gram, rescued = calibration._gram, []
+
+        def zero_least(spec, *args):
+            G = gram(spec, *args)
+            G[np.argmin(G[:, 0, 0])] = 0.0
+            return G
+
+        def counted(spec, gen):
+            rescued.append(spec)
+            return simulate_limit_draw(spec, gen)
+
+        monkeypatch.setattr(calibration, "_gram", zero_least)
+        monkeypatch.setattr(calibration, "simulate_limit_draw", counted)
+        sq = estimate_alpha(self.SPEC, 0.05, reps, seed, threads=2)
+        assert len(rescued) > 20
+        assert hexes(sq) == full_sort_quantile(self.SPEC, 0.05, reps, seed) != clean
+
+    def test_concurrent_adds_lose_nothing(self):
+        # eight workers on a shortened switch interval, each adding 400
+        # windows, a cut at about every third add, five times over: a lost
+        # add or cut would change the kept values
+        values = derive_stream(31).standard_normal((8, 400, 53))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(5):
+                    tail = calibration._Tail(150)
+                    futures = [pool.submit(lambda t, rows: [t.add(row) for row in rows], tail,
+                                           rows) for rows in values]
+                    for future in futures:
+                        future.result(timeout=60)
+                    assert np.array_equal(tail.sorted(), np.sort(values, axis=None)[-150:])
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("order", ["shuffled", "ascending", "descending", "all equal"])
+    def test_ties_at_the_floor_stay(self, order):
+        # values rounded to 0.1 tie by the hundred at the floor, whose copies
+        # fall on both sides of the keep largest; ascending adds raise the
+        # floor at every cut, and all-equal ones cut at every add
+        values = np.round(derive_stream(23).standard_normal(20_000), 1)
+        if order == "ascending":
+            values.sort()
+        elif order == "descending":
+            values = np.sort(values)[::-1].copy()
+        elif order == "all equal":
+            values[:] = 1.5
+        keep = 1013
+        tail = calibration._Tail(keep)
+        for window in np.array_split(values, 37):
+            tail.add(window)
+            assert sum(map(len, tail._held)) <= 2 * keep
+        top = tail.sorted()
+        assert np.array_equal(top, np.sort(values)[-keep:])
+        assert tail.floor <= top[0]
+        if order != "all equal":
+            ties = np.count_nonzero(values == top[0])
+            assert 1 < np.count_nonzero(top == top[0]) < ties
 
 
 class TestQuantileCache:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -42,7 +43,13 @@ from sgdci.calibration import (
     spec_from_plan,
     weights_key,
 )
-from sgdci.errors import BatchCountTooSmall, BatchTooSmall, NonFiniteIterate, SgdciError
+from sgdci.errors import (
+    BatchCountTooSmall,
+    BatchTooSmall,
+    DimensionMismatch,
+    NonFiniteIterate,
+    SgdciError,
+)
 from sgdci.experiments import (
     DEFAULT_CAL_SEED,
     METHODS,
@@ -503,6 +510,10 @@ RULES = {
     "reps": (ValueError, f"reps must be >= {MIN_REPS} for a meaningful tail quantile, got {{}}",
              st.integers(-3, MIN_REPS - 1)),
     "threads": (ValueError, "threads must be >= 1, got {}", st.integers(-3, 0)),
+    "weights": (ValueError, "weights must be finite and strictly positive, got {}",
+                st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])),
+    "weight count": (DimensionMismatch, "got {} weights for m=8 batches",
+                     st.integers(1, 7) | st.integers(9, 12)),
 }
 _IBS = Allocation(kind="ibs")
 
@@ -569,8 +580,30 @@ _COVER = ["experiment", "coverage", "--model", "linear", "--reps", "3", "--no-ca
 _VOLUME = ["experiment", "volume", "--no-cache"]
 _DETCOV = ["experiment", "detcov", "--model", "linear", "--reps", "3"]
 
+def _custom(*w):
+    return Allocation(kind="custom", custom_weights=w)
+
+
 # (rule, entry(bad value, path of a 40-row d = 4 linear CSV), values or None for the rule's own)
 RULE_CASES = {
+    "Allocation/weights": ("weights", lambda v, _: _custom(1.0, v), None),
+    "LimitDrawSpec/weights": ("weights", lambda v, _: LimitDrawSpec(1, 8, (v,) + _even(8)[1:]),
+                              None),
+    "LimitDrawSpec/weight count": ("weight count", lambda v, _: LimitDrawSpec(1, 8, _even(v)),
+                                   None),
+    "ideal_weights/weights": ("weights", lambda v, _: ideal_weights(8, _custom(*[1.0] * 7, v)),
+                              None),
+    "ideal_weights/weight count": ("weight count", lambda v, _: ideal_weights(
+        8, _custom(*[1.0] * v)), None),
+    "make_plan/weights": ("weights", lambda v, _: make_plan(400, 8, _custom(*[1.0] * 7, v)),
+                          None),
+    "make_plan/weight count": ("weight count", lambda v, _: make_plan(
+        400, 8, _custom(*[1.0] * v)), None),
+    "cli calibrate/weights": ("weights", lambda v, _: _cli(
+        "calibrate", "--d", 1, "--alloc", "custom", f"--weights=1,{v!r}", "--no-cache"), None),
+    "cli calibrate/weight count": ("weight count", lambda v, _: _cli(
+        "calibrate", "--d", 1, "--alloc", "custom", "--m", 8, "--weights", ",".join(["1"] * v),
+        "--no-cache"), None),
     "make_plan/m": ("m >= 2", lambda v, _: make_plan(400, v, _IBS), None),
     "make_plan/T": ("T >= m", lambda v, _: make_plan(v, 8, _IBS), None),
     "ideal_weights/m": ("m >= 2", lambda v, _: ideal_weights(v, _IBS), None),

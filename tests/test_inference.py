@@ -1,14 +1,18 @@
 """Region assembly, membership, volumes, and marginal intervals."""
 
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sgdci import calibration, inference
 from sgdci.batching import (
     Allocation,
     BatchMeansSummary,
     accumulate,
+    ideal_weights,
     make_plan,
     summary_from_path,
 )
@@ -30,6 +34,7 @@ from sgdci.inference import (
     expected_volume_factor,
     marginal_intervals,
     region_volume,
+    submit_volume_factor,
     unit_ball_volume,
 )
 from sgdci.streams import derive_stream
@@ -211,3 +216,30 @@ class TestExpectedVolumeFactor:
             vals[100].std_error, vals[120].std_error,
         )
         assert gap_early > gap_late + spread
+
+    @pytest.mark.parametrize("n", [1, 2, 129, 10**5 + 1])
+    def test_mean_and_se_equal_numpy_bit_for_bit(self, n, monkeypatch):
+        # draws spanning about six decades, past numpy's 128-element
+        # pairwise-summation block at n = 129 and 10**5 + 1
+        dets = derive_stream(41, n).lognormal(0.0, 2.0, n)
+        monkeypatch.setattr(inference, "det_sqrt_draws", lambda spec, gen, reps: dets.copy())
+        w = tuple([0.125] * 8)
+        vf = expected_volume_factor(1, 8, w, manual_quantile(2.0, 1, 8, w), n, derive_stream(0))
+        se = dets.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        assert (vf.e_det_sqrt.hex(), vf.se_det_sqrt.hex()) == (float(dets.mean()).hex(),
+                                                               float(se).hex())
+
+    def test_pass_holds_its_draws_once(self):
+        # 1e6 draws (7.6 MiB) and one window's working set, at most four
+        # windows of doubles; std(ddof=1) over the draws made a second array
+        n = 10**6
+        w = tuple(ideal_weights(6, Allocation(kind="ibs")))
+        q = manual_quantile(2.0, 1, 6, w)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tracemalloc.start()
+            try:
+                submit_volume_factor(pool, LimitDrawSpec(1, 6, w), n, derive_stream(2))(q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * n + 4 * 8 * calibration._BLOCK_DOUBLES
