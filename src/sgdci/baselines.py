@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .batching import (
     Allocation,
@@ -120,6 +119,8 @@ def bmi_plan(T: int, alloc_r: float = 2.0 / 3.0) -> BatchPlan:
 
 def bmi_from_stats(xbar: np.ndarray, sigma: np.ndarray, m_n: int, delta: float) -> BmiResult:
     """Normal-quantile intervals from batch-means statistics."""
+    from scipy.special import ndtri  # imported here: see the package docstring
+
     check_delta(delta)
     d = xbar.shape[0]
     z_marg = ndtri(1.0 - delta / 2.0)

@@ -49,6 +49,13 @@ provides an exact cross-check: f_quantile here is computed independently
 by bisection on the regularized incomplete beta function. exact_quantile
 gives it as the ScalingQuantile of an evenly weighted spec; sectioning
 uses it.
+
+Monte Carlo calibration runs on numpy alone: the ranks of the order
+statistic and its interval come from an exact binomial CDF (_binom_ppf).
+scipy is imported where it is used, by f_quantile (betainc) and by
+linalg's pivoted Cholesky, which only the per-draw route's rescue of a
+singular draw reaches, so estimate_alpha and the volume study load no
+scipy module.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import bdtr, bdtrik, betainc
 
 from .batching import check_dim, check_joint, check_weight_count, check_weights, joint_constant
 from .errors import DegenerateDraw, DimensionMismatch, NotPositiveDefinite
@@ -560,12 +566,24 @@ def exact_quantile(spec: LimitDrawSpec, delta: float) -> ScalingQuantile:
 def _binom_ppf(q: float, n: int, p: float) -> int:
     """Smallest k with P(Binomial(n, p) <= k) >= q, for 0 < q < 1.
 
-    Computed as scipy.stats.binom.ppf long was (ceil of bdtrik, then one
-    step down where the CDF allows), through scipy.special alone: importing
-    scipy.stats costs most of the package's start-up time.
+    The CDF is summed exactly over the window n*p +- (12 sigma + 8), clipped
+    to [0, n]; the mass outside it is far below a double's resolution of q
+    (about 1e-21 at the narrowest window, n*p*(1-p) near 1). Within it,
+    log pmf(k+1) - log pmf(k) = log((n-k)/(k+1)) + log(p/(1-p)) is summed
+    from the window's low end (lgamma's cancellation at n = 8e6 would cost
+    about 1e-8), and the pmf is normalized by the window's sum.
+    test_order_statistic_ranks_match_scipy checks the rank against scipy's
+    rule (ceil of bdtrik, then one step down where bdtr allows) over reps
+    1e4 to 1e7 and delta 1e-4 to 0.999.
     """
-    k = math.ceil(bdtrik(q, n, p))
-    return k - 1 if k >= 1 and bdtr(k - 1, n, p) >= q else k
+    sd = math.sqrt(n * p * (1.0 - p))
+    lo = max(0, math.floor(n * p - 12.0 * sd - 8.0))
+    hi = min(n, math.ceil(n * p + 12.0 * sd + 8.0))
+    k = np.arange(lo, hi, dtype=float)
+    log_pmf = np.zeros(hi - lo + 1)  # at lo .. hi, less log pmf(lo)
+    np.cumsum(np.log((n - k) / (k + 1.0)) + math.log(p / (1.0 - p)), out=log_pmf[1:])
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lo + int(np.searchsorted(cdf / cdf[-1], q))
 
 
 def f_quantile(d1: int, d2: int, p: float) -> float:
@@ -581,6 +599,7 @@ def f_quantile(d1: int, d2: int, p: float) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    from scipy.special import betainc  # imported here: see the package docstring
 
     def cdf(x: float) -> float:
         return float(betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))

@@ -76,8 +76,7 @@ class CholFactor:
 
     def quad_form(self, v) -> float:
         """v^T S^{-1} v = ||L^{-1} v[perm]||^2, one triangular solve."""
-        # imported here: scipy.linalg adds about 0.1 s to every CLI start
-        from scipy.linalg.lapack import dtrtrs
+        from scipy.linalg.lapack import dtrtrs  # imported here: see the package docstring
 
         v = _vector(v, len(self.perm))
         y, _ = dtrtrs(self.lower, v[self.perm], lower=1)
@@ -103,8 +102,7 @@ def cholesky(S: SymMatrix) -> CholFactor:
     NotPositiveDefinite otherwise; callers treat that as the
     degenerate-covariance signal.
     """
-    # imported here: scipy.linalg adds about 0.1 s to every CLI start
-    from scipy.linalg.lapack import dpstrf
+    from scipy.linalg.lapack import dpstrf  # imported here: see the package docstring
 
     maxdiag = float(np.max(np.diag(S.entries)))
     if not 0.0 < maxdiag < np.inf:

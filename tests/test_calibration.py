@@ -432,13 +432,21 @@ class TestEstimateAlpha:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
-    @pytest.mark.parametrize("reps", [10**4, 3 * 10**4 + 7, 10**5, 10**6, 10**7])
+    # the bench's reps (25,000, 34,000, 100,000), check 7's (4e5 to 8e6), and
+    # delta from 1e-4 to 0.999
+    @pytest.mark.parametrize("reps", [10**4, 25_000, 3 * 10**4 + 7, 34_000, 10**5,
+                                      4 * 10**5, 10**6, 4 * 10**6, 8 * 10**6, 10**7])
     def test_order_statistic_ranks_match_scipy(self, reps):
+        from scipy.special import bdtr, bdtrik
         from scipy.stats import binom
 
-        for p in (0.5, 0.9, 0.95, 0.975, 0.99):
+        deltas = [1e-4, 0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.99, 0.999]
+        for delta in deltas + np.geomspace(1e-4, 0.999, 23).tolist():
+            p = 1.0 - delta
             for q in (0.025, 0.975):
-                assert _binom_ppf(q, reps, p) == int(binom.ppf(q, reps, p))
+                k = math.ceil(bdtrik(q, reps, p))
+                k = k - 1 if k >= 1 and bdtr(k - 1, reps, p) >= q else k
+                assert _binom_ppf(q, reps, p) == k == int(binom.ppf(q, reps, p)), (delta, q)
 
     def test_quantile_monotone_in_delta(self):
         spec = even_spec(1, 8)
@@ -706,7 +714,9 @@ class TestFQuantile:
         assert x > 2 ** 26 and x == pytest.approx(exact(p), rel=1e-6)
 
     def test_quantile_past_the_bracket_limit_is_a_value_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(calibration, "betainc", lambda a, b, x: 0.0)
+        import scipy.special  # f_quantile imports betainc at each call
+
+        monkeypatch.setattr(scipy.special, "betainc", lambda a, b, x: 0.0)
         message = "the F(d1=1, d2=1) quantile at p=0.95 exceeds 1e18"
         with self._alarm(5), pytest.raises(ValueError) as e:
             f_quantile(1, 1, 0.95)
